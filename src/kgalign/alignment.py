@@ -138,24 +138,12 @@ def csls_matrix(cos: np.ndarray, csls_k: int) -> np.ndarray:
     return 2.0 * cos - r_src[:, None] - r_tgt[None, :]
 
 
-@dataclass(frozen=True)
-class CSLSContext:
-    """Vector clouds the per-pair CSLS penalties are computed against."""
-
-    mapped_sources: np.ndarray
-    targets: np.ndarray
-    csls_k: int
-
-
-def csls_score(mapped_source: np.ndarray, target: np.ndarray,
-               ctx: CSLSContext) -> float:
-    ms = mapped_source / np.linalg.norm(mapped_source)
-    tg = target / np.linalg.norm(target)
-    cos_to_targets = unit_rows(ctx.targets) @ ms
-    cos_to_sources = unit_rows(ctx.mapped_sources) @ tg
-    r_t = float(np.sort(cos_to_targets)[-min(ctx.csls_k, len(cos_to_targets)):].mean())
-    r_s = float(np.sort(cos_to_sources)[-min(ctx.csls_k, len(cos_to_sources)):].mean())
-    return float(2.0 * ms @ tg - r_t - r_s)
+def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-||a_i - b_j|| for every row pair, from the Gram form
+    |a|^2 + |b|^2 - 2 a.b, without an (n, m, k) difference tensor."""
+    sq = (np.einsum("ij,ij->i", a, a)[:, None]
+          + np.einsum("ij,ij->i", b, b)[None, :] - 2.0 * (a @ b.T))
+    return -np.sqrt(np.maximum(sq, 0.0))
 
 
 def _score_matrix(mapped_src: np.ndarray, tgt: np.ndarray,
@@ -163,8 +151,7 @@ def _score_matrix(mapped_src: np.ndarray, tgt: np.ndarray,
     """Similarity matrix, higher is better, under the query's metric."""
     if q.metric == "csls":
         return csls_matrix(cosine_matrix(mapped_src, tgt), q.csls_k)
-    d = np.linalg.norm(mapped_src[:, None, :] - tgt[None, :, :], axis=2)
-    return -d
+    return neg_l2_matrix(mapped_src, tgt)
 
 
 def _candidate_indices(space: AlignmentSpace, aligned_entities: set[str],
@@ -284,21 +271,13 @@ def infer_batch(query_ids: list[str], state: AlignmentState,
     qx = _entity_vectors(state.source, query_ids) @ state.transform.T
     cand = _entity_vectors(state.target, candidate_ids)
     if q.metric == "l2":
-        return -np.linalg.norm(qx[:, None, :] - cand[None, :, :], axis=2)
+        return neg_l2_matrix(qx, cand)
     all_src = state.source.vectors[state.source.entity_mask] @ state.transform.T
     cos = cosine_matrix(qx, cand)
     r_query = _topk_mean(cos, q.csls_k, axis=1)
     cos_cand_src = cosine_matrix(cand, all_src)
     r_cand = _topk_mean(cos_cand_src, q.csls_k, axis=1)
     return 2.0 * cos - r_query[:, None] - r_cand[None, :]
-
-
-def infer(query_id: str, state: AlignmentState, q: NeighborQuery,
-          candidate_ids: list[str]) -> list[tuple[str, float]]:
-    """Candidates ranked best-first; ties broken by candidate list order."""
-    scores = infer_batch([query_id], state, q, candidate_ids)[0]
-    order = np.lexsort((np.arange(len(candidate_ids)), -scores))
-    return [(candidate_ids[i], float(scores[i])) for i in order]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,35 @@ def cli():
 
 _SYNTH_DEFAULTS = synth.BenchmarkParams()
 
+# flag of each pipeline.ABLATIONS entry that `run` and `train` can switch on
+ABLATION_FLAGS = {
+    "no_self_learning": "--no-self-learning",
+    "no_gcn": "--no-gcn",
+    "no_text": "--no-text",
+    "no_kg": "--no-kg",
+    "with_seed_lexicon": "--seed-lexicon",
+}
+# `train` builds one embedding space: it takes the optimizer-only ablations
+_TRAIN_ABLATIONS = [n for n in ABLATION_FLAGS if not pipeline.ABLATIONS[n][0]]
+
+
+def _with_options(opts):
+    def wrap(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+    return wrap
+
+
+def _with_ablation_flags(names):
+    return _with_options([click.option(ABLATION_FLAGS[n], n, is_flag=True)
+                          for n in names])
+
+
+def _chosen(flags: dict) -> list[str]:
+    """Ablation names whose flag is set, in the order of the table."""
+    return [name for name in pipeline.ABLATIONS if flags.get(name)]
+
 
 @cli.command("synth")
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -91,16 +120,14 @@ def ground_cmd(kg_path, forms, corpus, out, lang, no_case_fold, min_freq):
 @click.option("--out", "out_prefix", required=True, type=click.Path())
 @click.option("--lang", default="xx", show_default=True)
 @click.option("--desk-scale/--full-scale", default=True, show_default=True)
-@click.option("--no-gcn", is_flag=True)
-@click.option("--no-text", is_flag=True)
-@click.option("--no-kg", "no_kg_loss", is_flag=True)
+@_with_ablation_flags(_TRAIN_ABLATIONS)
 def train_cmd(kg_path, grounded, config_path, seed, out_prefix, lang,
-              desk_scale, no_gcn, no_text, no_kg_loss):
+              desk_scale, **flags):
     """Train the joint KG + text embedding of one language."""
     base = OptimizerConfig.desk_scale() if desk_scale else OptimizerConfig()
     cfg = load_optimizer_config(config_path, base) if config_path else base
-    cfg = replace(cfg, gcn_enabled=not no_gcn,
-                  use_text_loss=not no_text, use_kg_loss=not no_kg_loss)
+    for name in _chosen(flags):
+        cfg = replace(cfg, **pipeline.ABLATIONS[name][1])
     graph = kg.load_kg(kg_path, lang)
     corpus = grounding.load_pregrounded(grounded, graph,
                                         min_freq=cfg.min_freq)
@@ -171,17 +198,13 @@ def eval_cmd(state_path, test_path, p, metric, csls_k, candidates, out_path):
 
 
 def _pipeline_config(config_path, metric, csls_k, stop_frac, seed_frac, p,
-                     candidates, no_self_learning, no_gcn, no_text,
-                     no_kg_loss, seed_lexicon) -> PipelineConfig:
-    base = OptimizerConfig.desk_scale()
+                     candidates) -> PipelineConfig:
+    opt = OptimizerConfig.desk_scale()
     if config_path:
-        base = load_optimizer_config(config_path, base)
-    opt = replace(base, gcn_enabled=not no_gcn,
-                  use_text_loss=not no_text, use_kg_loss=not no_kg_loss)
+        opt = load_optimizer_config(config_path, opt)
     return PipelineConfig(
         optimizer=opt, metric=metric, csls_k=csls_k, stop_fraction=stop_frac,
-        seed_fraction=seed_frac, eval_p=p, candidate_mode=candidates,
-        no_self_learning=no_self_learning, use_seed_lexicon=seed_lexicon)
+        seed_fraction=seed_frac, eval_p=p, candidate_mode=candidates)
 
 
 _run_options = [
@@ -201,28 +224,16 @@ _run_options = [
 ]
 
 
-def _with_options(opts):
-    def wrap(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return wrap
-
-
 @cli.command("run")
 @_with_options(_run_options)
-@click.option("--no-self-learning", is_flag=True)
-@click.option("--no-gcn", is_flag=True)
-@click.option("--no-text", is_flag=True)
-@click.option("--no-kg", "no_kg_loss", is_flag=True)
-@click.option("--seed-lexicon", is_flag=True)
+@_with_ablation_flags(ABLATION_FLAGS)
 def run_cmd(bench, out_dir, config_path, seed, metric, csls_k, stop_frac,
-            seed_frac, p, candidates, no_self_learning, no_gcn, no_text,
-            no_kg_loss, seed_lexicon):
+            seed_frac, p, candidates, **flags):
     """Run the full pipeline on a benchmark directory."""
     cfg = _pipeline_config(config_path, metric, csls_k, stop_frac, seed_frac,
-                           p, candidates, no_self_learning, no_gcn, no_text,
-                           no_kg_loss, seed_lexicon)
+                           p, candidates)
+    for name in _chosen(flags):
+        cfg = pipeline.ablation_config(cfg, name)
     paths = synth.BenchmarkPaths.in_dir(bench)
     pipeline.run_pipeline(cfg, paths, out_dir, seed, log=click.echo)
 
@@ -235,7 +246,7 @@ def ablate_cmd(bench, out_dir, config_path, seed, metric, csls_k, stop_frac,
                seed_frac, p, candidates, settings):
     """Run the ablation grid and print a comparison table."""
     cfg = _pipeline_config(config_path, metric, csls_k, stop_frac, seed_frac,
-                           p, candidates, False, False, False, False, False)
+                           p, candidates)
     paths = synth.BenchmarkPaths.in_dir(bench)
     names = [s.strip() for s in settings.split(",") if s.strip()]
     reports = pipeline.run_ablation_grid(cfg, paths, out_dir, seed,

@@ -40,7 +40,6 @@ class OptimizerConfig:
     gcn_enabled: bool = True
     use_kg_loss: bool = True
     use_text_loss: bool = True
-    unigram_power_sampling: bool = False
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -113,13 +112,12 @@ class NeighborQuery:
 
     metric: str = "csls"
     csls_k: int = 10
-    k: int = 1
 
     def __post_init__(self):
         if self.metric not in ("csls", "l2"):
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.csls_k < 1 or self.k < 1:
-            raise ConfigError("csls_k and k must be >= 1")
+        if self.csls_k < 1:
+            raise ConfigError("csls_k must be >= 1")
 
 
 @dataclass(frozen=True)

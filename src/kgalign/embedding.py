@@ -167,12 +167,6 @@ def entity_output(space: EmbeddingSpace,
 # ---------------------------------------------------------------------------
 # Losses
 
-def triple_score(h_vec: np.ndarray, r_vec: np.ndarray,
-                 t_vec: np.ndarray) -> float:
-    """Translational plausibility ||h + r - t||; lower is more plausible."""
-    return float(np.linalg.norm(h_vec + r_vec - t_vec))
-
-
 @dataclass(frozen=True)
 class KGBatch:
     positives: np.ndarray      # (B, 3) int (h, r, t)
@@ -328,38 +322,36 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
 # ---------------------------------------------------------------------------
 # Batch construction
 
-def negative_triples(triple: tuple[int, int, int], stats: RelationStats,
-                     kg: KnowledgeGraph, count: int,
-                     rng: np.random.Generator,
-                     triple_set: set | None = None) -> list[tuple[int, int, int]]:
-    """Bernoulli-corrupted negatives: corrupt the head with probability
-    tph/(tph+hpt), else the tail; resample corruptions that exist in the KG.
+def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
+            triple_set: set, n_entities: int,
+            rng: np.random.Generator) -> tuple[int, int]:
+    """Redraw the corruption (nh, r, nt) of (h, r, t), an observed triple.
+
+    The corrupted side is redrawn up to 10*|E| times.  If every draw is
+    observed, the side is taken as saturated: the corruption restarts
+    from the positive on the other side, again up to 10*|E| times.  If
+    those are all observed too, the last draw is kept.
     """
-    if kg.n_entities < 2:
-        raise ValueError("need at least 2 entities to corrupt a triple")
-    triple_set = triple_set if triple_set is not None else kg.triple_set()
-    h, r, t = triple
-    p_head = stats.head_corruption_prob(r)
-    out = []
-    for _ in range(count):
-        corrupt_head = rng.random() < p_head
-        attempts = 0
-        while True:
-            cand = int(rng.integers(kg.n_entities))
-            corrupted = (cand, r, t) if corrupt_head else (h, r, cand)
-            if corrupted not in triple_set:
-                out.append(corrupted)
-                break
-            attempts += 1
-            if attempts > 10 * kg.n_entities:
-                # side is saturated for this triple; corrupt the other one
-                corrupt_head = not corrupt_head
-                attempts = 0
-    return out
+    for _ in range(2):
+        for _ in range(10 * n_entities):
+            cand = int(rng.integers(n_entities))
+            if corrupt_head:
+                nh = cand
+            else:
+                nt = cand
+            if (nh, r, nt) not in triple_set:
+                return nh, nt
+        corrupt_head, nh, nt = not corrupt_head, h, t
+    return nh, nt
 
 
 def _kg_batch(pos: np.ndarray, stats: RelationStats, triple_set: set,
               n_entities: int, count: int, rng: np.random.Generator) -> KGBatch:
+    """Bernoulli-corrupted negatives, `count` per positive (h, r, t): the
+    head is corrupted with probability tph/(tph+hpt), else the tail, and a
+    corruption that is an observed triple is redrawn (see `_redraw`)."""
+    if n_entities < 2:
+        raise ValueError("need at least 2 entities to corrupt a triple")
     bsz = len(pos)
     coins = rng.random((bsz, count))
     cands = rng.integers(n_entities, size=(bsz, count))
@@ -373,25 +365,12 @@ def _kg_batch(pos: np.ndarray, stats: RelationStats, triple_set: set,
     for i in range(bsz):
         r = int(pos[i, 1])
         for j in range(count):
-            while (int(neg_h[i, j]), r, int(neg_t[i, j])) in triple_set:
-                cand = int(rng.integers(n_entities))
-                if head_side[i, j]:
-                    neg_h[i, j] = cand
-                else:
-                    neg_t[i, j] = cand
+            nh, nt = int(neg_h[i, j]), int(neg_t[i, j])
+            if (nh, r, nt) in triple_set:
+                neg_h[i, j], neg_t[i, j] = _redraw(
+                    int(pos[i, 0]), r, int(pos[i, 2]), nh, nt,
+                    bool(head_side[i, j]), triple_set, n_entities, rng)
     return KGBatch(positives=pos, neg_heads=neg_h, neg_tails=neg_t)
-
-
-def context_pairs(corpus: GroundedCorpus, radius: int):
-    """Yield (center, context) token pairs within `radius` per document."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    for doc in corpus.documents:
-        n = len(doc)
-        for i in range(n):
-            for j in range(max(0, i - radius), min(n, i + radius + 1)):
-                if j != i:
-                    yield doc[i], doc[j]
 
 
 def _pair_array(docs_idx: list[np.ndarray], radius: int) -> np.ndarray:
@@ -459,12 +438,6 @@ class TrainHistory:
     epoch_kg_loss: list[float] = field(default_factory=list)
     epoch_text_loss: list[float] = field(default_factory=list)
 
-    @property
-    def epoch_total_loss(self) -> list[float]:
-        kg = self.epoch_kg_loss or [0.0] * len(self.epoch_text_loss)
-        tx = self.epoch_text_loss or [0.0] * len(self.epoch_kg_loss)
-        return [a + b for a, b in zip(kg, tx)]
-
 
 def train_with_history(kg: KnowledgeGraph, corpus: GroundedCorpus,
                        cfg: OptimizerConfig, seed: int,
@@ -486,20 +459,11 @@ def train_with_history(kg: KnowledgeGraph, corpus: GroundedCorpus,
     use_text = cfg.use_text_loss and len(pairs) > 0
     use_kg = cfg.use_kg_loss and len(triples) > 0
 
-    if cfg.unigram_power_sampling:
-        counts = np.zeros(space.n_tokens)
-        for idx in docs_idx:
-            np.add.at(counts, idx, 1.0)
-        weights = np.power(np.maximum(counts, 1.0), 0.75)
-        token_probs = weights / weights.sum()
-    else:
-        token_probs = None
-
     opt = AMSGrad(space.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     history = TrainHistory()
 
-    n_batches = max(1, int(np.ceil(len(triples) / cfg.batch_size))) \
-        if use_kg else max(1, int(np.ceil(len(pairs) / cfg.batch_size)))
+    # one step per KG batch in every mode, so ablations train equally long
+    n_batches = max(1, int(np.ceil(len(triples) / cfg.batch_size)))
     pair_perm = rng.permutation(len(pairs)) if use_text else None
     pair_pos = 0
 
@@ -510,12 +474,7 @@ def train_with_history(kg: KnowledgeGraph, corpus: GroundedCorpus,
             pair_pos = 0
         sel = pairs[pair_perm[pair_pos:pair_pos + cfg.batch_size]]
         pair_pos += cfg.batch_size
-        if token_probs is None:
-            negs = rng.integers(space.n_tokens,
-                                size=(len(sel), cfg.neg_samples))
-        else:
-            negs = rng.choice(space.n_tokens,
-                              size=(len(sel), cfg.neg_samples), p=token_probs)
+        negs = rng.integers(space.n_tokens, size=(len(sel), cfg.neg_samples))
         return TextBatch(centers=sel[:, 0], contexts=sel[:, 1], negatives=negs)
 
     for _ in range(cfg.epochs):

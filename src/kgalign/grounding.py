@@ -211,8 +211,17 @@ def ground_corpus(corpus_path, index: SurfaceFormIndex, kg: KnowledgeGraph,
     """Ground a pre-tokenized corpus file (one document per line)."""
     docs: list[list[Token]] = []
     with open(corpus_path, encoding="utf-8") as fh:
-        for line in fh:
-            docs.append(ground_tokens(line.split(), index))
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            # a raw marker would read back as an entity mention
+            if ENTITY_PREFIX in line:
+                for tok in tokens:
+                    if tok.startswith(ENTITY_PREFIX):
+                        raise ValueError(
+                            f"{corpus_path}: line {lineno}: raw token "
+                            f"{tok!r} starts with the entity marker "
+                            f"{ENTITY_PREFIX!r}")
+            docs.append(ground_tokens(tokens, index))
     corpus = GroundedCorpus(lang=kg.lang, documents=docs, min_freq=min_freq)
     return corpus, grounding_stats(corpus, kg)
 

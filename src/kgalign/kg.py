@@ -54,15 +54,12 @@ class KnowledgeGraph:
 
 @dataclass(frozen=True)
 class GraphStructure:
-    """Self-looped symmetric adjacency and its normalized form.
+    """Normalized self-looped symmetric adjacency, the GCN's operator.
 
     norm_adjacency = D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of
     A + I itself, so every entry is finite even for isolated entities.
     """
 
-    adjacency: sp.csr_matrix
-    self_looped: sp.csr_matrix
-    degrees: np.ndarray
     norm_adjacency: sp.csr_matrix
 
 
@@ -111,6 +108,12 @@ def load_kg(path, lang: str) -> KnowledgeGraph:
                 raise KGFormatError(
                     f"{path}: line {lineno}: expected 3 non-empty "
                     f"tab-separated fields, got {len(parts)}")
+            for part in parts:
+                # ids are written as space-separated .vec tokens
+                if any(ch.isspace() for ch in part):
+                    raise KGFormatError(
+                        f"{path}: line {lineno}: id {part!r} contains "
+                        f"whitespace")
             raw.append((parts[0], parts[1], parts[2]))
     if not raw:
         raise KGFormatError(f"{path}: empty triples file")
@@ -136,8 +139,7 @@ def build_graph_structure(kg: KnowledgeGraph) -> GraphStructure:
     inv_sqrt = 1.0 / np.sqrt(degrees)
     d_half = sp.diags(inv_sqrt)
     norm = (d_half @ looped @ d_half).tocsr()
-    return GraphStructure(adjacency=adj, self_looped=looped,
-                          degrees=degrees, norm_adjacency=norm)
+    return GraphStructure(norm_adjacency=norm)
 
 
 @dataclass(frozen=True)

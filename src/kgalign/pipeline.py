@@ -120,28 +120,25 @@ def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
                           tgt_emb_prefix=tgt_prefix)
 
 
-ABLATIONS: dict[str, dict] = {
-    "full": {},
-    "no_self_learning": {"no_self_learning": True},
-    "no_gcn": {},
-    "no_text": {},
-    "no_kg": {},
-    "l2_metric": {"metric": "l2"},
-    "with_seed_lexicon": {"use_seed_lexicon": True},
+# name -> (PipelineConfig overrides, OptimizerConfig overrides)
+ABLATIONS: dict[str, tuple[dict, dict]] = {
+    "full": ({}, {}),
+    "no_self_learning": ({"no_self_learning": True}, {}),
+    "no_gcn": ({}, {"gcn_enabled": False}),
+    "no_text": ({}, {"use_text_loss": False}),
+    "no_kg": ({}, {"use_kg_loss": False}),
+    "l2_metric": ({"metric": "l2"}, {}),
+    "with_seed_lexicon": ({"use_seed_lexicon": True}, {}),
 }
 
 
 def ablation_config(base: PipelineConfig, name: str) -> PipelineConfig:
+    """`base` with the overrides of ablation `name` applied."""
     if name not in ABLATIONS:
         raise ConfigError(f"unknown ablation {name!r}")
-    cfg = replace(base, **ABLATIONS[name])
-    if name == "no_gcn":
-        cfg = replace(cfg, optimizer=replace(cfg.optimizer, gcn_enabled=False))
-    elif name == "no_text":
-        cfg = replace(cfg, optimizer=replace(cfg.optimizer, use_text_loss=False))
-    elif name == "no_kg":
-        cfg = replace(cfg, optimizer=replace(cfg.optimizer, use_kg_loss=False))
-    return cfg
+    pipeline_overrides, optimizer_overrides = ABLATIONS[name]
+    return replace(base, **pipeline_overrides,
+                   optimizer=replace(base.optimizer, **optimizer_overrides))
 
 
 def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,

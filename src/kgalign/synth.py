@@ -210,9 +210,14 @@ def generate_benchmark(params: BenchmarkParams, seed: int,
     paths.src_corpus.write_text("\n".join(src_docs) + "\n", encoding="utf-8")
     paths.tgt_corpus.write_text("\n".join(tgt_docs) + "\n", encoding="utf-8")
 
+    # the edge drop can leave an entity in no triple; a KG loaded from the
+    # file does not know it, so its gold pair is left out
+    src_seen = {e for h, _, t in src_triples for e in (h, t)}
+    tgt_seen = {e for h, _, t in tgt_triples for e in (h, t)}
     with open(paths.gold_entities, "w", encoding="utf-8") as fh:
         for i in range(params.n_entities):
-            fh.write(f"{src_id(i)}\t{tgt_id(int(perm[i]))}\n")
+            if i in src_seen and int(perm[i]) in tgt_seen:
+                fh.write(f"{src_id(i)}\t{tgt_id(int(perm[i]))}\n")
     # the published seed lexicon covers only the frequent head of the
     # shared vocabulary, the way real seed dictionaries cover frequent
     # words; rarer concepts stay in the corpora as unlabeled signal

@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from kgalign.cli import main
 from kgalign.config import OptimizerConfig
 from kgalign.grounding import GroundedCorpus, entity_token, lexeme
 from kgalign.kg import from_string_triples
@@ -75,3 +78,31 @@ def random_corpus(rng, kg, n_docs=4, doc_len=10, n_words=6):
                 doc.append(f"w{int(rng.integers(n_words))}")
         docs.append(doc)
     return make_corpus(docs, lang=kg.lang)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test if the block runs longer than `seconds` (SIGALRM
+    based, main thread only).  pytest's failure is a BaseException, so the
+    program's own error handlers do not swallow it."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def main_exit_code(monkeypatch, args):
+    """Exit code of the `kgalign` entry point run with `args`."""
+    monkeypatch.setattr(sys, "argv", ["kgalign", *map(str, args)])
+    with time_limit(30):
+        try:
+            main()
+        except SystemExit as exc:
+            return exc.code
+    return 0

@@ -59,6 +59,30 @@ def brute_csls(mapped_sources, targets, k):
     return scores
 
 
+def brute_norm_adjacency(kg):
+    """D^-1/2 (A + I) D^-1/2 as a dense matrix by nested loops, where A
+    links every pair of distinct entities that share a triple."""
+    n = kg.n_entities
+    linked = [[i == j for j in range(n)] for i in range(n)]
+    for h, _, t in kg.triples:
+        linked[h][t] = linked[t][h] = True
+    degree = [sum(row) for row in linked]
+    return np.array([[linked[i][j] / np.sqrt(degree[i] * degree[j])
+                      for j in range(n)] for i in range(n)])
+
+
+def brute_pairs(documents, radius):
+    """(center, context) pairs within `radius` of each other per document,
+    by a nested loop over positions in center order."""
+    pairs = []
+    for doc in documents:
+        for i in range(len(doc)):
+            for j in range(max(0, i - radius), min(len(doc), i + radius + 1)):
+                if j != i:
+                    pairs.append((doc[i], doc[j]))
+    return pairs
+
+
 def brute_mutual_nn(score_matrix):
     """Mutual-1-NN pairs (i, j) from a higher-is-better score matrix,
     ties resolved toward the lowest index."""

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from kgalign.alignment import (AlignmentSpace, AlignmentState, CSLSContext,
-                               cosine_matrix, csls_matrix, csls_score, infer,
-                               infer_batch, load_state, procrustes_solve,
-                               propose_pairs, save_state, self_learn,
-                               solve_once, unit_rows)
+from kgalign.alignment import (AlignmentSpace, AlignmentState, cosine_matrix,
+                               csls_matrix, infer_batch, load_state,
+                               procrustes_solve, propose_pairs, save_state,
+                               self_learn, solve_once, unit_rows)
 from kgalign.config import NeighborQuery
 
-from oracles import brute_csls, brute_mutual_nn, random_orthogonal
+from oracles import brute_csls, brute_mutual_nn, brute_rank, random_orthogonal
 
 
 def space_from(entity_vecs, lexeme_vecs=None, prefix="e", lex_prefix="w"):
@@ -75,10 +74,9 @@ class TestProcrustes:
 
 class TestCSLS:
     def test_degenerate_cloud_zero(self):
-        v = np.array([0.3, 0.4])
-        ctx = CSLSContext(mapped_sources=np.tile(v, (3, 1)),
-                          targets=np.tile(v, (3, 1)), csls_k=2)
-        assert csls_score(v, v, ctx) == pytest.approx(0.0)
+        cloud = np.tile([0.3, 0.4], (3, 1))
+        got = csls_matrix(cosine_matrix(cloud, cloud), 2)
+        np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, k):
@@ -88,11 +86,6 @@ class TestCSLS:
         expected = brute_csls(src, tgt, k)
         got = csls_matrix(cosine_matrix(src, tgt), k)
         np.testing.assert_allclose(got, expected, atol=1e-12)
-        ctx = CSLSContext(mapped_sources=src, targets=tgt, csls_k=k)
-        for i in range(3):
-            for j in range(3):
-                assert csls_score(src[i], tgt[j], ctx) == \
-                    pytest.approx(expected[i, j], abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -103,11 +96,8 @@ class TestCSLS:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_zero_norm_rejected(self):
-        ctx = CSLSContext(mapped_sources=np.eye(2), targets=np.eye(2),
-                          csls_k=1)
-        with pytest.raises((ValueError, FloatingPointError)):
-            with np.errstate(invalid="raise"):
-                csls_score(np.zeros(2), np.ones(2), ctx)
+        with pytest.raises(ValueError, match="zero-norm"):
+            cosine_matrix(np.zeros((1, 2)), np.eye(2))
 
 
 class TestProposePairs:
@@ -255,6 +245,13 @@ class TestSelfLearn:
         np.testing.assert_array_equal(tgt.vectors, tgt_before)
 
 
+def ranked(state, q, query_id, ids):
+    """Candidates best-first under infer_batch, ties to the lower index."""
+    row = infer_batch([query_id], state, q, ids)[0]
+    ranks = [brute_rank(row, i) for i in range(len(ids))]
+    return [ids[i] for i in np.argsort(ranks)]
+
+
 class TestInfer:
     def test_identity_spaces_top1_self(self):
         rng = np.random.default_rng(16)
@@ -267,7 +264,7 @@ class TestInfer:
         for metric in ("csls", "l2"):
             q = NeighborQuery(metric=metric, csls_k=3)
             for e in ids:
-                assert infer(e, state, q, ids)[0][0] == e
+                assert ranked(state, q, e, ids)[0] == e
 
     def test_single_candidate(self):
         rng = np.random.default_rng(17)
@@ -278,7 +275,8 @@ class TestInfer:
         state.transform = np.eye(4)
         for metric in ("csls", "l2"):
             q = NeighborQuery(metric=metric)
-            assert infer("e1", state, q, ["e2"])[0][0] == "e2"
+            assert ranked(state, q, "e1", ["e2"]) == ["e2"]
+            assert np.isfinite(infer_batch(["e1"], state, q, ["e2"])).all()
 
     def test_unknown_entity_rejected(self):
         rng = np.random.default_rng(18)
@@ -288,7 +286,9 @@ class TestInfer:
                                ent_pairs=[("e0", "e0")])
         state.transform = np.eye(4)
         with pytest.raises(KeyError):
-            infer("nope", state, NeighborQuery(), ["e0"])
+            infer_batch(["nope"], state, NeighborQuery(), ["e0"])
+        with pytest.raises(KeyError):
+            infer_batch(["e0"], state, NeighborQuery(), ["nope"])
 
     def test_l2_ranking_matches_brute_force(self):
         rng = np.random.default_rng(19)
@@ -299,14 +299,15 @@ class TestInfer:
         state.transform = random_orthogonal(rng, 4)
         ids = [f"e{i}" for i in range(6)]
         q = NeighborQuery(metric="l2")
-        for e in ids:
-            ranked = [c for c, _ in infer(e, state, q, ids)]
+        scores = infer_batch(ids, state, q, ids)
+        for row, e in zip(scores, ids):
             mapped = state.transform @ src.vectors[src.items.index(f"@ent:{e}")]
             dists = [np.linalg.norm(mapped - tgt.vectors[j])
                      for j in range(6)]
+            np.testing.assert_allclose(row, -np.array(dists), atol=1e-12)
             expected = [ids[i] for i in
                         sorted(range(6), key=lambda i: (dists[i], i))]
-            assert ranked == expected
+            assert ranked(state, q, e, ids) == expected
 
     def test_csls_argmax_scale_invariant(self):
         rng = np.random.default_rng(20)
@@ -322,9 +323,7 @@ class TestInfer:
         ids = [f"e{i}" for i in range(6)]
         q = NeighborQuery(metric="csls", csls_k=2)
         for e in ids:
-            a = [c for c, _ in infer(e, state, q, ids)]
-            b = [c for c, _ in infer(e, scaled, q, ids)]
-            assert a == b
+            assert ranked(state, q, e, ids) == ranked(scaled, q, e, ids)
 
 
 class TestStateIO:

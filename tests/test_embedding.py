@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgalign.config import OptimizerConfig
-from kgalign.embedding import (AMSGrad, KGBatch, TextBatch, gcn_forward,
-                               context_pairs, init_space, kg_loss,
-                               negative_triples, read_embeddings, text_loss,
-                               train, train_with_history, triple_score,
-                               write_embeddings)
-from kgalign.grounding import entity_token, lexeme
-from kgalign.kg import (build_graph_structure, from_string_triples,
-                        relation_stats)
+from kgalign.embedding import (AMSGrad, KGBatch, TextBatch, _kg_batch,
+                               _pair_array, gcn_forward, init_space, kg_loss,
+                               read_embeddings, text_loss, train,
+                               train_with_history, write_embeddings)
+from kgalign.kg import (KnowledgeGraph, build_graph_structure,
+                        from_string_triples, relation_stats)
 
-from conftest import make_corpus, random_corpus, random_kg, small_config
-from oracles import finite_difference_grad, relative_error
+from conftest import (main_exit_code, make_corpus, random_corpus, random_kg,
+                      small_config, time_limit)
+from oracles import brute_pairs, finite_difference_grad, relative_error
 
 
 def make_space(kg, corpus, cfg, seed=0):
@@ -32,15 +32,15 @@ def random_instance(seed, gcn=True, activation="tanh", dim=4):
     return rng, kg, corpus, cfg, space, graph, stats
 
 
+def kg_batch(kg, pos, count, rng):
+    return _kg_batch(np.array(pos, dtype=np.int64), relation_stats(kg),
+                     kg.triple_set(), kg.n_entities, count, rng)
+
+
 def random_kg_batch(rng, kg, stats, bsz=3, m=2):
     pos_idx = rng.integers(len(kg.triples), size=bsz)
     pos = np.array([kg.triples[i] for i in pos_idx])
-    neg_h = np.array([
-        [negative_triples(tuple(p), stats, kg, 1, rng)[0][0] for _ in range(m)]
-        for p in pos])
-    neg_t = np.array([
-        [int(rng.integers(kg.n_entities)) for _ in range(m)] for _ in pos])
-    return KGBatch(positives=pos, neg_heads=neg_h, neg_tails=neg_t)
+    return _kg_batch(pos, stats, kg.triple_set(), kg.n_entities, m, rng)
 
 
 def random_text_batch(rng, space, bsz=4, m=3):
@@ -81,10 +81,28 @@ class TestGCNForward:
         np.testing.assert_allclose(gcn_forward(space, graph), 0.0)
 
 
+def triple_score(h_vec, r_vec, t_vec):
+    """The translational score ||h + r - t|| that kg_loss gives a positive.
+
+    The batch pairs the positive with one negative of score 0, so the loss
+    is log(1 + exp(f)) and f is recovered from it.
+    """
+    kg = from_string_triples([("h", "r", "t"), ("x", "r", "y")], "xx")
+    space = make_space(kg, make_corpus([["w"]]),
+                       small_config(dim=len(h_vec), gcn_enabled=False))
+    space.ent0[:] = [h_vec, t_vec, np.zeros_like(r_vec), r_vec]
+    space.rel[:] = [r_vec]
+    batch = KGBatch(positives=np.array([[0, 0, 1]]),
+                    neg_heads=np.array([[2]]), neg_tails=np.array([[3]]))
+    loss, _ = kg_loss(batch, space, None, bias=2.0)
+    return float(np.log(np.expm1(loss)))
+
+
 class TestTripleScore:
     def test_exact_translation(self):
         assert triple_score(np.array([1.0, 0]), np.array([0, 1.0]),
-                            np.array([1.0, 1.0])) == 0.0
+                            np.array([1.0, 1.0])) == pytest.approx(0.0,
+                                                                   abs=1e-9)
 
     def test_three_four_five(self):
         assert triple_score(np.zeros(2), np.zeros(2),
@@ -92,7 +110,7 @@ class TestTripleScore:
 
     def test_self_loop_zero_relation(self):
         h = np.array([0.3, -0.7])
-        assert triple_score(h, np.zeros(2), h) == 0.0
+        assert triple_score(h, np.zeros(2), h) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestKGLoss:
@@ -220,56 +238,107 @@ class TestNegativeTriples:
     def test_negatives_never_observed(self):
         rng = np.random.default_rng(0)
         kg = random_kg(rng, n_entities=6, n_triples=12)
-        stats = relation_stats(kg)
         observed = kg.triple_set()
-        for t in kg.triples[:5]:
-            for neg in negative_triples(t, stats, kg, 10, rng):
-                assert neg not in observed
+        batch = kg_batch(kg, kg.triples[:5], 10, rng)
+        for (_, r, _), heads, tails in zip(batch.positives, batch.neg_heads,
+                                           batch.neg_tails):
+            for h, t in zip(heads, tails):
+                assert (int(h), int(r), int(t)) not in observed
 
     def test_head_corruption_frequency(self):
         # tph = 2, hpt = 1 -> head corrupted with probability 2/3
         kg = from_string_triples([("a", "r", "b"), ("a", "r", "c")], "xx")
-        stats = relation_stats(kg)
-        rng = np.random.default_rng(42)
         n = 100_000
-        heads = 0
-        for neg in negative_triples((0, 0, 1), stats, kg, n, rng):
-            if neg[0] != 0:
-                heads += 1
-            else:
-                assert neg[2] != 1
-        assert abs(heads / n - 2 / 3) < 0.01
+        batch = kg_batch(kg, [(0, 0, 1)], n, np.random.default_rng(42))
+        heads = batch.neg_heads[0] != 0
+        assert np.all(batch.neg_tails[0][heads] == 1)
+        assert np.all(batch.neg_tails[0][~heads] != 1)
+        assert abs(heads.mean() - 2 / 3) < 0.01
 
     def test_single_entity_rejected(self):
         kg = from_string_triples([("a", "r", "a")], "xx")
-        stats = relation_stats(kg)
-        with pytest.raises(ValueError):
-            negative_triples((0, 0, 0), stats, kg, 1,
-                             np.random.default_rng(0))
+        with time_limit(10), pytest.raises(ValueError, match="2 entities"):
+            kg_batch(kg, [(0, 0, 0)], 1, np.random.default_rng(0))
+
+    def test_saturated_tail_side_corrupts_heads(self):
+        # every tail corruption of (e0, r, e1) is observed, so each
+        # negative must corrupt the head, whatever side its coin chose
+        kg = from_string_triples([("e0", "r", f"e{i}") for i in range(4)],
+                                 "xx")
+        assert relation_stats(kg).head_corruption_prob(0) == \
+            pytest.approx(0.8)
+        with time_limit(10):
+            batch = kg_batch(kg, [(0, 0, 1)], 50, np.random.default_rng(0))
+        assert np.all(batch.neg_tails == 1)
+        assert np.all(batch.neg_heads != 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_entities=st.integers(2, 6), n_relations=st.integers(1, 2),
+           data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bounded_on_dense_kgs(self, n_entities, n_relations, data, seed):
+        every = [(h, r, t) for h in range(n_entities)
+                 for r in range(n_relations) for t in range(n_entities)]
+        # dense: every triple but a few holes, so sides often saturate
+        holes = data.draw(st.sets(st.sampled_from(every),
+                                  max_size=len(every) - 1), label="holes")
+        triples = [x for x in every if x not in holes]
+        kg = KnowledgeGraph(
+            lang="xx", entities=tuple(f"e{i}" for i in range(n_entities)),
+            relations=tuple(f"r{i}" for i in range(n_relations)),
+            triples=tuple(triples))
+        pos = data.draw(st.lists(st.sampled_from(triples), min_size=1,
+                                 max_size=4), label="positives")
+        m = 3
+        with time_limit(2):
+            batch = kg_batch(kg, pos, m, np.random.default_rng(seed))
+        assert batch.neg_heads.shape == batch.neg_tails.shape == (len(pos), m)
+        observed = kg.triple_set()
+        for (h, r, t), heads, tails in zip(pos, batch.neg_heads,
+                                           batch.neg_tails):
+            for nh, nt in zip(heads, tails):
+                assert 0 <= nh < n_entities and 0 <= nt < n_entities
+                assert nh == h or nt == t
+                if (nh, r, nt) in observed:
+                    # kept only when some corruption side is saturated
+                    assert (all((x, r, t) in observed
+                                for x in range(n_entities))
+                            or all((h, r, x) in observed
+                                   for x in range(n_entities)))
 
 
 class TestContextPairs:
     @staticmethod
-    def pairs_text(corpus, radius):
-        return [(a.text, b.text) for a, b in context_pairs(corpus, radius)]
+    def pairs(docs, radius):
+        """_pair_array of integer documents, sorted, beside the brute-force
+        oracle's pairs, sorted."""
+        got = _pair_array([np.array(d, dtype=np.int64) for d in docs], radius)
+        return (sorted(map(tuple, got.tolist())),
+                sorted(brute_pairs(docs, radius)))
 
     def test_radius_one(self):
-        corpus = make_corpus([["a", "b", "c"]])
-        assert self.pairs_text(corpus, 1) == \
-            [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
+        got, want = self.pairs([[0, 1, 2]], 1)
+        assert got == want == sorted([(0, 1), (1, 0), (1, 2), (2, 1)])
 
     def test_single_token_no_pairs(self):
-        assert self.pairs_text(make_corpus([["a"]]), 3) == []
+        got, want = self.pairs([[0]], 3)
+        assert got == want == []
 
     def test_large_radius_all_ordered_pairs(self):
-        corpus = make_corpus([["a", "b", "c", "d"]])
-        pairs = self.pairs_text(corpus, 5)
-        assert len(pairs) == 12
-        assert len(set(pairs)) == 12
+        got, want = self.pairs([[0, 1, 2, 3]], 5)
+        assert got == want
+        assert len(got) == len(set(got)) == 12
 
     def test_document_boundaries_respected(self):
-        corpus = make_corpus([["a"], ["b"]])
-        assert self.pairs_text(corpus, 2) == []
+        got, want = self.pairs([[0], [1]], 2)
+        assert got == want == []
+
+    @pytest.mark.parametrize("radius", [1, 2, 5])
+    def test_matches_brute_force(self, radius):
+        rng = np.random.default_rng(radius)
+        docs = [list(rng.integers(7, size=int(rng.integers(0, 12))))
+                for _ in range(6)]
+        got, want = self.pairs(docs, radius)
+        assert got == want
 
 
 class TestAMSGrad:
@@ -332,9 +401,12 @@ class TestTrain:
         rng = np.random.default_rng(4)
         kg = random_kg(rng, n_entities=6, n_triples=10)
         corpus = random_corpus(rng, kg)
-        _, hist = train_with_history(
-            kg, corpus, small_config(epochs=2, use_kg_loss=False), seed=0)
-        assert hist.kg_steps == 0 and hist.text_steps > 0
+        cfg = small_config(epochs=2, use_kg_loss=False)
+        _, hist = train_with_history(kg, corpus, cfg, seed=0)
+        # the same number of steps per epoch as with both losses on
+        n_batches = int(np.ceil(len(kg.triples) / cfg.batch_size))
+        assert hist.kg_steps == 0
+        assert hist.text_steps == cfg.epochs * n_batches
         _, hist = train_with_history(
             kg, corpus, small_config(epochs=2, use_text_loss=False), seed=0)
         assert hist.text_steps == 0 and hist.kg_steps > 0
@@ -345,6 +417,15 @@ class TestTrain:
         corpus = random_corpus(rng, kg)
         space = train(kg, corpus, small_config(epochs=5), seed=0)
         assert space.all_finite()
+
+    def test_train_cli_single_entity_kg_exits_1(self, tmp_path,
+                                                monkeypatch):
+        (tmp_path / "kg.tsv").write_text("a\tr\ta\n", encoding="utf-8")
+        (tmp_path / "corpus").write_text("@ent:a is a w\n", encoding="utf-8")
+        code = main_exit_code(monkeypatch, [
+            "train", "--kg", tmp_path / "kg.tsv",
+            "--grounded", tmp_path / "corpus", "--out", tmp_path / "emb"])
+        assert code == 1
 
 
 class TestSerialization:

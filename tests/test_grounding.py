@@ -93,6 +93,17 @@ class TestGroundCorpus:
         assert stats.coverage == pytest.approx(2 / 5)
         assert stats.avg_match == pytest.approx(1.5)  # a twice, b once
 
+    def test_raw_entity_marker_rejected(self, tmp_path, tiny_kg):
+        forms = tmp_path / "forms.tsv"
+        forms.write_text("a\talpha\n", encoding="utf-8")
+        corpus_file = tmp_path / "corpus.txt"
+        # a marker inside a token is plain text; one starting it is not
+        corpus_file.write_text("alpha x@ent:a\nsee @ent:a here\n",
+                               encoding="utf-8")
+        index = build_index(forms, tiny_kg)
+        with pytest.raises(ValueError, match="corpus.txt: line 2: .*@ent:a"):
+            ground_corpus(corpus_file, index, tiny_kg, min_freq=1)
+
     def test_rare_lexemes_fold_to_unk(self):
         docs = [[lexeme(w) for w in "x x x y".split()]]
         corpus = GroundedCorpus(lang="xx", documents=docs, min_freq=2)

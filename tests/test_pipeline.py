@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kgalign.cli import cli
+from kgalign import pipeline
+from kgalign.cli import ABLATION_FLAGS, cli
 from kgalign.config import ConfigError, OptimizerConfig, PipelineConfig
 from kgalign.pipeline import (ABLATIONS, ablation_config,
                               format_ablation_table, run_ablation_grid,
                               run_pipeline, split_gold)
 from kgalign.synth import BenchmarkParams, generate_benchmark
+
+from conftest import main_exit_code
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +23,11 @@ def bench(tmp_path_factory):
                              n_common_concepts=20)
     out = tmp_path_factory.mktemp("bench")
     return generate_benchmark(params, seed=0, out_dir=out)
+
+
+# `kgalign run` arguments that select each ablation
+RUN_ARGS = {"full": [], "l2_metric": ["--metric", "l2"],
+            **{name: [flag] for name, flag in ABLATION_FLAGS.items()}}
 
 
 def quick_config(**overrides):
@@ -106,6 +114,23 @@ class TestAblations:
         assert ablation_config(base, "with_seed_lexicon").use_seed_lexicon
         assert ablation_config(base, "full") == base
 
+    @pytest.mark.parametrize("name", list(ABLATIONS))
+    def test_run_flag_matches_table(self, name, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(pipeline, "run_pipeline",
+                            lambda cfg, *args, **kwargs: built.append(cfg))
+
+        def run(*flags):
+            res = CliRunner().invoke(cli, [
+                "run", "--bench", str(tmp_path), "--out",
+                str(tmp_path / "out"), *flags])
+            assert res.exit_code == 0, res.output
+            return built.pop()
+
+        base = run()
+        assert ablation_config(base, "full") == base
+        assert run(*RUN_ARGS[name]) == ablation_config(base, name)
+
     def test_disabling_both_losses_rejected(self):
         with pytest.raises(ConfigError, match="both"):
             replace(OptimizerConfig(), use_kg_loss=False, use_text_loss=False)
@@ -168,3 +193,20 @@ class TestCli:
             "--test", str(bench.gold_entities), "--candidates", "all"])
         assert res.exit_code == 0, res.output
         assert res.output.startswith("h1\t")
+
+    @pytest.mark.parametrize("triples, corpus", [
+        ("new york\tr\tb\n", "new york\n"),
+        ("a\tr\tb\n", "a @ent:a b\n"),
+    ], ids=["whitespace-id", "raw-entity-marker"])
+    def test_unsafe_ids_exit_1(self, tmp_path, monkeypatch, capsys,
+                               triples, corpus):
+        (tmp_path / "kg.tsv").write_text(triples, encoding="utf-8")
+        (tmp_path / "forms.tsv").write_text("b\tb\n", encoding="utf-8")
+        (tmp_path / "corpus.txt").write_text(corpus, encoding="utf-8")
+        code = main_exit_code(monkeypatch, [
+            "ground", "--kg", tmp_path / "kg.tsv",
+            "--forms", tmp_path / "forms.tsv",
+            "--corpus", tmp_path / "corpus.txt",
+            "--out", tmp_path / "out.grounded"])
+        assert code == 1
+        assert "line 1" in capsys.readouterr().err

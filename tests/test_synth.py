@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from kgalign.alignment import load_seed_pairs
+from kgalign.config import OptimizerConfig, PipelineConfig
 from kgalign.grounding import build_index, ground_corpus
 from kgalign.kg import load_kg
+from kgalign.pipeline import run_pipeline
 from kgalign.synth import BenchmarkParams, generate_benchmark
 
 
@@ -61,6 +63,21 @@ class TestGeneration:
         actual = {(tgt.entities[h], tgt.relations[r], tgt.entities[t])
                   for h, r, t in tgt.triples}
         assert len(actual - mapped) == 20
+
+    def test_gold_names_only_entities_in_triples(self, tmp_path):
+        # with the default parameters, seed 3's edge drop leaves a target
+        # entity in no triple
+        paths = generate_benchmark(BenchmarkParams(), seed=3,
+                                   out_dir=tmp_path / "bench")
+        src = load_kg(paths.src_triples, "src")
+        tgt = load_kg(paths.tgt_triples, "tgt")
+        gold = load_seed_pairs(paths.gold_entities)
+        assert len(gold) == tgt.n_entities < 500
+        assert all(s in src.ent_index and t in tgt.ent_index
+                   for s, t in gold)
+        cfg = PipelineConfig(optimizer=OptimizerConfig.desk_scale(epochs=1))
+        result = run_pipeline(cfg, paths, tmp_path / "run", seed=3)
+        assert result.report.n_test == len(gold) - round(0.3 * len(gold))
 
     def test_deterministic_bytes(self, tmp_path):
         p1 = generate_benchmark(small_params(), seed=3,
