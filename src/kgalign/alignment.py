@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NeighborQuery
-from .embedding import EmbeddingSpace, read_embeddings
+from .config import ConfigError, NeighborQuery
+from .embedding import EmbeddingSpace, TrainingDivergence, read_embeddings
 from .grounding import ENTITY_PREFIX
 
 
@@ -64,6 +64,13 @@ class AlignmentSpace:
         ent = space.ent_out if space.ent_out is not None else space.ent0
         items = tuple(ENTITY_PREFIX + e for e in space.entities) + space.lexemes
         mat = np.vstack([ent, space.lex])
+        zero = np.flatnonzero(~mat.any(axis=1))
+        if len(zero):
+            # training, not the input, produced the row: a numerical failure
+            raise TrainingDivergence(
+                f"trained {space.lang} space has {len(zero)} all-zero "
+                f"row(s), first {items[zero[0]]!r}; they cannot be "
+                "normalized")
         mask = np.zeros(len(items), dtype=bool)
         mask[:space.n_entities] = True
         return cls(items=items, vectors=unit_rows(mat), entity_mask=mask)
@@ -219,6 +226,10 @@ def self_learn(state: AlignmentState, q: NeighborQuery,
     stop_fraction * |source entities| or the iteration cap is reached.
     The pair set only grows; embeddings are never modified.
     """
+    if max_iterations < 1:
+        raise ConfigError("max_iterations must be >= 1")
+    if not (0 < stop_fraction <= 1):
+        raise ConfigError("stop_fraction must lie in (0, 1]")
     if not state.ent_pairs:
         raise ValueError("self-learning requires a non-empty entity seed set")
     threshold = stop_fraction * state.source.n_entities

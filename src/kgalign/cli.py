@@ -262,13 +262,14 @@ def main():
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except (ConfigError, ValueError, OSError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    # first: LinAlgError is a ValueError, and would otherwise exit 1
     except (TrainingDivergence, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
+    except (ConfigError, ValueError, OSError, KeyError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

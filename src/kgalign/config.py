@@ -139,6 +139,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not (0 < self.stop_fraction <= 1):
             raise ConfigError("stop_fraction must lie in (0, 1]")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
         if not (0 < self.seed_fraction < 1):
             raise ConfigError("seed_fraction must lie in (0, 1)")
         if self.candidate_mode not in ("test", "all"):

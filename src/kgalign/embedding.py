@@ -22,7 +22,8 @@ EPS = 1e-12
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when a loss or parameter becomes non-finite."""
+    """Raised when training yields unusable numbers: a non-finite loss or
+    parameter, or an all-zero row that cannot be normalized."""
 
 
 def xavier_uniform(rng: np.random.Generator, n_rows: int, n_cols: int,
@@ -181,6 +182,18 @@ class TextBatch:
     negatives: np.ndarray      # (B, m)
 
 
+def _scatter_rows(indices, rows, n_rows: int) -> np.ndarray:
+    """Sum of `rows[i][j]` into row `indices[i][j]` of an (n_rows, k) zero
+    table, by one flat bincount.  Each cell adds its terms in the order
+    given, so the sums equal sequential `np.add.at` calls bit for bit."""
+    idx = np.concatenate(indices)
+    vals = np.concatenate(rows)
+    k = vals.shape[1]
+    flat = (idx[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=vals.ravel(),
+                       minlength=n_rows * k).reshape(n_rows, k)
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -221,18 +234,14 @@ def kg_loss(batch: KGBatch, space: EmbeddingSpace,
     u_pos = diff_pos / np.maximum(f_pos, EPS)[:, None]
     u_neg = diff_neg / np.maximum(f_neg, EPS)[:, :, None]
 
-    d_ent = np.zeros_like(ent)
-    d_rel = np.zeros_like(space.rel)
-
     g_pos = coef[:, 0:1] * u_pos
-    np.add.at(d_ent, h, g_pos)
-    np.add.at(d_ent, t, -g_pos)
-    np.add.at(d_rel, r, g_pos)
-
     g_neg = coef[:, 1:, None] * u_neg
-    np.add.at(d_ent, batch.neg_heads, g_neg)
-    np.add.at(d_ent, batch.neg_tails, -g_neg)
-    np.add.at(d_rel, r, g_neg.sum(axis=1))
+    g_neg_rows = g_neg.reshape(-1, space.dim)
+    d_ent = _scatter_rows(
+        (h, t, batch.neg_heads.ravel(), batch.neg_tails.ravel()),
+        (g_pos, -g_pos, g_neg_rows, -g_neg_rows), len(ent))
+    d_rel = _scatter_rows((r, r), (g_pos, g_neg.sum(axis=1)),
+                          len(space.rel))
 
     grads = {"rel": d_rel}
     if space.gcn_enabled:
@@ -259,18 +268,11 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
     else:
         ent = space.ent0
     n_ent = space.n_entities
+    tokens = np.concatenate([ent, space.lex])  # rows by unified index
 
-    def gather(idx):
-        idx = np.asarray(idx)
-        out = np.empty(idx.shape + (space.dim,))
-        ent_mask = idx < n_ent
-        out[ent_mask] = ent[idx[ent_mask]]
-        out[~ent_mask] = space.lex[idx[~ent_mask] - n_ent]
-        return out
-
-    vx = gather(batch.centers)                 # (B, k)
-    vc = gather(batch.contexts)                # (B, k)
-    vn = gather(batch.negatives)               # (B, m, k)
+    vx = tokens[batch.centers]                 # (B, k)
+    vc = tokens[batch.contexts]                # (B, k)
+    vn = tokens[batch.negatives]               # (B, m, k)
     bsz = len(batch.centers)
 
     diff_pos = vx - vc
@@ -292,21 +294,12 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
     g_pos = coef[:, 0:1] * u_pos               # d/dvx from positive term
     g_neg = coef[:, 1:, None] * u_neg
 
-    d_ent = np.zeros_like(ent)
-    d_lex = np.zeros_like(space.lex)
-
-    def scatter(idx, grad):
-        idx = np.asarray(idx)
-        ent_mask = idx < n_ent
-        if ent_mask.any():
-            np.add.at(d_ent, idx[ent_mask], grad[ent_mask])
-        if (~ent_mask).any():
-            np.add.at(d_lex, idx[~ent_mask] - n_ent, grad[~ent_mask])
-
-    scatter(batch.centers, g_pos + g_neg.sum(axis=1))
-    scatter(batch.contexts, -g_pos)
-    scatter(batch.negatives.ravel(),
-            (-g_neg).reshape(-1, space.dim))
+    # one scatter over the unified index, split into entities and lexemes
+    d_tok = _scatter_rows(
+        (batch.centers, batch.contexts, batch.negatives.ravel()),
+        (g_pos + g_neg.sum(axis=1), -g_pos, (-g_neg).reshape(-1, space.dim)),
+        space.n_tokens)
+    d_ent, d_lex = d_tok[:n_ent], d_tok[n_ent:]
 
     grads = {"lex": d_lex}
     if space.gcn_enabled:
@@ -322,6 +315,38 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
 # ---------------------------------------------------------------------------
 # Batch construction
 
+@dataclass(frozen=True)
+class ObservedTriples:
+    """The observed triples of a KG, as a set for one-at-a-time lookups
+    and as the sorted int64 keys (h*R + r)*E + t for vectorized ones."""
+
+    triple_set: set
+    keys: np.ndarray
+    n_entities: int
+    n_relations: int
+
+    @classmethod
+    def of(cls, kg: KnowledgeGraph) -> "ObservedTriples":
+        n_ent, n_rel = kg.n_entities, kg.n_relations
+        # the largest key is E*R*E - 1, which must fit in an int64
+        if n_ent * n_rel * n_ent > 2 ** 63:
+            raise ValueError(f"{n_ent} entities and {n_rel} relations "
+                             "overflow the int64 triple key")
+        triples = np.array(kg.triples, dtype=np.int64).reshape(-1, 3)
+        keys = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
+        return cls(triple_set=kg.triple_set(), keys=np.sort(keys),
+                   n_entities=n_ent, n_relations=n_rel)
+
+    def contains(self, h: np.ndarray, r: np.ndarray,
+                 t: np.ndarray) -> np.ndarray:
+        """Elementwise membership of the broadcast triples (h, r, t)."""
+        key = (h * self.n_relations + r) * self.n_entities + t
+        if len(self.keys) == 0:
+            return np.zeros(key.shape, dtype=bool)
+        at = np.searchsorted(self.keys, key)
+        return self.keys[np.minimum(at, len(self.keys) - 1)] == key
+
+
 def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
             triple_set: set, n_entities: int,
             rng: np.random.Generator) -> tuple[int, int]:
@@ -330,7 +355,7 @@ def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
     The corrupted side is redrawn up to 10*|E| times.  If every draw is
     observed, the side is taken as saturated: the corruption restarts
     from the positive on the other side, again up to 10*|E| times.  If
-    those are all observed too, the last draw is kept.
+    those are all observed too, the positive (h, t) itself is returned.
     """
     for _ in range(2):
         for _ in range(10 * n_entities):
@@ -345,11 +370,13 @@ def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
     return nh, nt
 
 
-def _kg_batch(pos: np.ndarray, stats: RelationStats, triple_set: set,
-              n_entities: int, count: int, rng: np.random.Generator) -> KGBatch:
+def _kg_batch(pos: np.ndarray, stats: RelationStats,
+              observed: ObservedTriples, count: int,
+              rng: np.random.Generator) -> KGBatch:
     """Bernoulli-corrupted negatives, `count` per positive (h, r, t): the
     head is corrupted with probability tph/(tph+hpt), else the tail, and a
     corruption that is an observed triple is redrawn (see `_redraw`)."""
+    n_entities = observed.n_entities
     if n_entities < 2:
         raise ValueError("need at least 2 entities to corrupt a triple")
     bsz = len(pos)
@@ -361,32 +388,45 @@ def _kg_batch(pos: np.ndarray, stats: RelationStats, triple_set: set,
     head_side = coins < p_head[:, None]
     neg_h[head_side] = cands[head_side]
     neg_t[~head_side] = cands[~head_side]
-    # resample the (rare) corruptions that collide with observed triples
-    for i in range(bsz):
-        r = int(pos[i, 1])
-        for j in range(count):
-            nh, nt = int(neg_h[i, j]), int(neg_t[i, j])
-            if (nh, r, nt) in triple_set:
-                neg_h[i, j], neg_t[i, j] = _redraw(
-                    int(pos[i, 0]), r, int(pos[i, 2]), nh, nt,
-                    bool(head_side[i, j]), triple_set, n_entities, rng)
+    # resample the (rare) corruptions that collide with observed triples,
+    # in row-major order; a redraw changes only its own cell
+    hits = observed.contains(neg_h, pos[:, 1:2], neg_t)
+    for i, j in zip(*np.nonzero(hits)):
+        h, r, t = (int(x) for x in pos[i])
+        neg_h[i, j], neg_t[i, j] = _redraw(
+            h, r, t, int(neg_h[i, j]), int(neg_t[i, j]),
+            bool(head_side[i, j]), observed.triple_set, n_entities, rng)
     return KGBatch(positives=pos, neg_heads=neg_h, neg_tails=neg_t)
 
 
 def _pair_array(docs_idx: list[np.ndarray], radius: int) -> np.ndarray:
-    """All (center, context) unified-index pairs as an (N, 2) int array."""
-    chunks = []
-    for idx in docs_idx:
-        n = len(idx)
-        for off in range(1, radius + 1):
-            if n <= off:
-                continue
-            left, right = idx[:-off], idx[off:]
-            chunks.append(np.stack([left, right], axis=1))
-            chunks.append(np.stack([right, left], axis=1))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
+    """All (center, context) unified-index pairs as an (N, 2) int array.
+
+    Pairs come document by document; within a document, offset by offset
+    from 1 to `radius`, first every (left, right) pair at that offset in
+    position order, then every (right, left) pair.
+    """
+    lengths = np.array([len(idx) for idx in docs_idx], dtype=np.int64)
+    offsets = np.arange(1, radius + 1)
+    # pairs in one direction per (document, offset), and where each
+    # (document, offset) block starts in the output
+    n_dir = np.maximum(lengths[:, None] - offsets[None, :], 0)
+    block_start = 2 * (np.cumsum(n_dir.ravel()) - n_dir.ravel())
+    block_start = block_start.reshape(n_dir.shape)
+    out = np.empty((2 * int(n_dir.sum()), 2), dtype=np.int64)
+    if len(out) == 0:
+        return out
+    flat = np.concatenate(docs_idx)
+    doc = np.repeat(np.arange(len(lengths)), lengths)
+    at = np.arange(len(flat)) - (np.cumsum(lengths) - lengths)[doc]
+    for o in range(1, radius + 1):
+        left = np.flatnonzero(at < lengths[doc] - o)
+        d = doc[left]
+        fwd = block_start[d, o - 1] + at[left]     # rows of (left, right)
+        back = fwd + n_dir[d, o - 1]                # rows of (right, left)
+        out[fwd, 0] = out[back, 1] = flat[left]
+        out[fwd, 1] = out[back, 0] = flat[left + o]
+    return out
 
 
 def encode_corpus(corpus: GroundedCorpus,
@@ -402,7 +442,11 @@ def encode_corpus(corpus: GroundedCorpus,
 # Optimizer
 
 class AMSGrad:
-    """AMSGrad: Adam with a non-decreasing second-moment estimate."""
+    """AMSGrad: Adam with a non-decreasing second-moment estimate.
+
+    `step` updates the moments and parameters in place, through two scratch
+    buffers per parameter, so a step allocates no arrays.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float, beta2: float, eps: float = 1e-8):
@@ -414,18 +458,28 @@ class AMSGrad:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.v_hat = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v))
+                         for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         for name, g in grads.items():
-            p = self.params[name]
-            m = self.m[name]
-            v = self.v[name]
+            p, m, v, v_hat = (self.params[name], self.m[name], self.v[name],
+                              self.v_hat[name])
+            a, b = self._scratch[name]
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            np.multiply(1 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            np.maximum(self.v_hat[name], v, out=self.v_hat[name])
-            p -= self.lr * m / (np.sqrt(self.v_hat[name]) + self.eps)
+            np.multiply(1 - self.beta2, g, out=a)
+            a *= g
+            v += a
+            np.maximum(v_hat, v, out=v_hat)
+            # p -= lr * m / (sqrt(v_hat) + eps)
+            np.multiply(self.lr, m, out=a)
+            np.sqrt(v_hat, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +505,7 @@ def train_with_history(kg: KnowledgeGraph, corpus: GroundedCorpus,
     if graph is None and cfg.gcn_enabled:
         graph = build_graph_structure(kg)
     stats = relation_stats(kg)
-    triple_set = kg.triple_set()
+    observed = ObservedTriples.of(kg)
     triples = np.array(kg.triples, dtype=np.int64)
 
     docs_idx = encode_corpus(corpus, space)
@@ -484,8 +538,8 @@ def train_with_history(kg: KnowledgeGraph, corpus: GroundedCorpus,
             if use_kg:
                 sel = triples[order[b * cfg.batch_size:
                                     (b + 1) * cfg.batch_size]]
-                batch = _kg_batch(sel, stats, triple_set, kg.n_entities,
-                                  cfg.neg_samples, rng)
+                batch = _kg_batch(sel, stats, observed, cfg.neg_samples,
+                                  rng)
                 loss, grads = kg_loss(batch, space, graph, cfg.bias_b)
                 if not np.isfinite(loss):
                     raise TrainingDivergence(

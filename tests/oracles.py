@@ -142,3 +142,152 @@ def naive_grounding_stats(raw_documents, surface_forms, case_fold=True):
             else:
                 i += 1
     return mentions
+
+
+# ---------------------------------------------------------------------------
+# Earlier implementations of the training step's kernels, kept as oracles:
+# the fast kernels must reproduce them bit for bit.
+
+def _softmax_rows(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def add_at_kg_grads(batch, ent, rel, bias, eps=1e-12):
+    """kg_loss's loss and its gradients on the entity rows it read and on
+    the relation table, scattered by one np.add.at call per term."""
+    h, r, t = batch.positives.T
+    bsz = len(h)
+    diff_pos = ent[h] + rel[r] - ent[t]
+    f_pos = np.linalg.norm(diff_pos, axis=1)
+    diff_neg = (ent[batch.neg_heads] + rel[r][:, None, :]
+                - ent[batch.neg_tails])
+    f_neg = np.linalg.norm(diff_neg, axis=2)
+    probs = _softmax_rows(bias - np.concatenate([f_pos[:, None], f_neg],
+                                                axis=1))
+    loss = float(-np.mean(np.log(probs[:, 0] + eps)))
+    coef = -probs / bsz
+    coef[:, 0] += 1.0 / bsz
+    u_pos = diff_pos / np.maximum(f_pos, eps)[:, None]
+    u_neg = diff_neg / np.maximum(f_neg, eps)[:, :, None]
+    d_ent = np.zeros_like(ent)
+    d_rel = np.zeros_like(rel)
+    g_pos = coef[:, 0:1] * u_pos
+    np.add.at(d_ent, h, g_pos)
+    np.add.at(d_ent, t, -g_pos)
+    np.add.at(d_rel, r, g_pos)
+    g_neg = coef[:, 1:, None] * u_neg
+    np.add.at(d_ent, batch.neg_heads, g_neg)
+    np.add.at(d_ent, batch.neg_tails, -g_neg)
+    np.add.at(d_rel, r, g_neg.sum(axis=1))
+    return loss, d_ent, d_rel
+
+
+def add_at_text_grads(batch, ent, lex, eps=1e-12):
+    """text_loss's loss and its gradients on the entity rows and the
+    lexeme table, gathered and scattered table by table with masks."""
+    n_ent, k = ent.shape
+
+    def gather(idx):
+        out = np.empty(idx.shape + (k,))
+        is_ent = idx < n_ent
+        out[is_ent] = ent[idx[is_ent]]
+        out[~is_ent] = lex[idx[~is_ent] - n_ent]
+        return out
+
+    vx, vc, vn = (gather(batch.centers), gather(batch.contexts),
+                  gather(batch.negatives))
+    bsz = len(batch.centers)
+    diff_pos = vx - vc
+    d_pos = np.linalg.norm(diff_pos, axis=1)
+    diff_neg = vx[:, None, :] - vn
+    d_neg = np.linalg.norm(diff_neg, axis=2)
+    probs = _softmax_rows(-np.concatenate([d_pos[:, None], d_neg], axis=1))
+    loss = float(-np.mean(np.log(probs[:, 0] + eps)))
+    coef = -probs / bsz
+    coef[:, 0] += 1.0 / bsz
+    u_pos = diff_pos / np.maximum(d_pos, eps)[:, None]
+    u_neg = diff_neg / np.maximum(d_neg, eps)[:, :, None]
+    g_pos = coef[:, 0:1] * u_pos
+    g_neg = coef[:, 1:, None] * u_neg
+    d_ent = np.zeros_like(ent)
+    d_lex = np.zeros_like(lex)
+
+    def scatter(idx, grad):
+        is_ent = idx < n_ent
+        if is_ent.any():
+            np.add.at(d_ent, idx[is_ent], grad[is_ent])
+        if (~is_ent).any():
+            np.add.at(d_lex, idx[~is_ent] - n_ent, grad[~is_ent])
+
+    scatter(batch.centers, g_pos + g_neg.sum(axis=1))
+    scatter(batch.contexts, -g_pos)
+    scatter(batch.negatives.ravel(), (-g_neg).reshape(-1, k))
+    return loss, d_ent, d_lex
+
+
+def set_loop_negatives(pos, head_prob, triple_set, n_entities, count, rng):
+    """Bernoulli-corrupted negatives with a per-negative set lookup and the
+    bounded redraw of each collision.  Returns (heads, tails, collisions).
+    `head_prob` maps relation ids to head-corruption probabilities."""
+    bsz = len(pos)
+    coins = rng.random((bsz, count))
+    cands = rng.integers(n_entities, size=(bsz, count))
+    neg_h = np.repeat(pos[:, 0:1], count, axis=1)
+    neg_t = np.repeat(pos[:, 2:3], count, axis=1)
+    head_side = coins < head_prob(pos[:, 1])[:, None]
+    neg_h[head_side] = cands[head_side]
+    neg_t[~head_side] = cands[~head_side]
+    collisions = 0
+    for i in range(bsz):
+        h, r, t = (int(x) for x in pos[i])
+        for j in range(count):
+            nh, nt = int(neg_h[i, j]), int(neg_t[i, j])
+            if (nh, r, nt) not in triple_set:
+                continue
+            collisions += 1
+            side_is_head = bool(head_side[i, j])
+            for _ in range(2):
+                for _ in range(10 * n_entities):
+                    cand = int(rng.integers(n_entities))
+                    if side_is_head:
+                        nh = cand
+                    else:
+                        nt = cand
+                    if (nh, r, nt) not in triple_set:
+                        break
+                else:
+                    side_is_head, nh, nt = not side_is_head, h, t
+                    continue
+                break
+            neg_h[i, j], neg_t[i, j] = nh, nt
+    return neg_h, neg_t, collisions
+
+
+def allocating_amsgrad_step(params, m, v, v_hat, grads, lr, beta1, beta2,
+                            eps=1e-8):
+    """One AMSGrad step written with temporaries, in place on the dicts."""
+    for name, g in grads.items():
+        m[name] *= beta1
+        m[name] += (1 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1 - beta2) * g * g
+        np.maximum(v_hat[name], v[name], out=v_hat[name])
+        params[name] -= lr * m[name] / (np.sqrt(v_hat[name]) + eps)
+
+
+def stacked_pairs(documents, radius):
+    """(center, context) pairs by two np.stack calls per document and
+    offset: per document, per offset, (left, right) then (right, left)."""
+    chunks = []
+    for idx in documents:
+        for off in range(1, radius + 1):
+            if len(idx) <= off:
+                continue
+            left, right = idx[:-off], idx[off:]
+            chunks.append(np.stack([left, right], axis=1))
+            chunks.append(np.stack([right, left], axis=1))
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(chunks, axis=0)

@@ -5,8 +5,10 @@ from kgalign.alignment import (AlignmentSpace, AlignmentState, cosine_matrix,
                                csls_matrix, infer_batch, load_state,
                                procrustes_solve, propose_pairs, save_state,
                                self_learn, solve_once, unit_rows)
-from kgalign.config import NeighborQuery
+from kgalign.config import ConfigError, NeighborQuery, OptimizerConfig
+from kgalign.embedding import TrainingDivergence, init_space
 
+from conftest import make_corpus, random_kg
 from oracles import brute_csls, brute_mutual_nn, brute_rank, random_orthogonal
 
 
@@ -19,6 +21,35 @@ def space_from(entity_vecs, lexeme_vecs=None, prefix="e", lex_prefix="w"):
     mat = unit_rows(np.array(vecs, dtype=float))
     mask = np.array([it.startswith("@ent:") for it in items])
     return AlignmentSpace(items=tuple(items), vectors=mat, entity_mask=mask)
+
+
+class TestAlignmentSpace:
+    def trained_space(self):
+        rng = np.random.default_rng(17)
+        kg = random_kg(rng, n_entities=4, n_triples=4)
+        space = init_space(kg, make_corpus([["w", "v"]]),
+                           OptimizerConfig(dim=3, min_freq=1), rng)
+        space.ent_out = space.ent0.copy()
+        return space
+
+    def test_zero_trained_row_is_numerical_failure(self):
+        space = self.trained_space()
+        space.ent_out[2] = 0.0
+        with pytest.raises(TrainingDivergence, match="@ent:e2"):
+            AlignmentSpace.from_space(space)
+
+    def test_zero_row_in_file_is_input_error(self, tmp_path):
+        (tmp_path / "x.vec").write_text("2 2\n@ent:a 1.0 0.0\nw 0.0 0.0\n",
+                                        encoding="utf-8")
+        with pytest.raises(ValueError, match="zero-norm") as info:
+            AlignmentSpace.from_file(tmp_path / "x.vec")
+        assert not isinstance(info.value, TrainingDivergence)
+
+    def test_from_space_unit_rows(self):
+        aligned = AlignmentSpace.from_space(self.trained_space())
+        np.testing.assert_allclose(
+            np.linalg.norm(aligned.vectors, axis=1), 1.0)
+        assert aligned.n_entities == 4
 
 
 class TestProcrustes:
@@ -231,6 +262,21 @@ class TestSelfLearn:
             self_learn(state, NeighborQuery())
         with pytest.raises(ValueError, match="seed"):
             solve_once(state)
+
+    @pytest.mark.parametrize("settings, match", [
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"max_iterations": -1}, "max_iterations"),
+        ({"stop_fraction": 0.0}, "stop_fraction"),
+        ({"stop_fraction": 1.5}, "stop_fraction"),
+    ])
+    def test_invalid_settings_rejected(self, settings, match):
+        rng = np.random.default_rng(16)
+        src, tgt, _ = self.isomorphic_fixture(rng, n=10)
+        state = AlignmentState(source=src, target=tgt,
+                               ent_pairs=[("e0", "e0")])
+        with pytest.raises(ConfigError, match=match):
+            self_learn(state, NeighborQuery(), **settings)
+        assert state.transform is None and state.iteration == 0
 
     def test_embeddings_unchanged_by_alignment(self):
         rng = np.random.default_rng(15)

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgalign.embedding import (AMSGrad, KGBatch, TextBatch, _kg_batch,
+from kgalign.embedding import (AMSGrad, KGBatch, ObservedTriples, TextBatch,
+                               _gcn_backward, _gcn_forward_cached, _kg_batch,
                                _pair_array, gcn_forward, init_space, kg_loss,
                                read_embeddings, text_loss, train,
                                train_with_history, write_embeddings)
@@ -12,7 +15,10 @@ from kgalign.kg import (KnowledgeGraph, build_graph_structure,
 
 from conftest import (main_exit_code, make_corpus, random_corpus, random_kg,
                       small_config, time_limit)
-from oracles import brute_pairs, finite_difference_grad, relative_error
+from oracles import (add_at_kg_grads, add_at_text_grads,
+                     allocating_amsgrad_step, brute_pairs,
+                     finite_difference_grad, relative_error,
+                     set_loop_negatives, stacked_pairs)
 
 
 def make_space(kg, corpus, cfg, seed=0):
@@ -34,13 +40,13 @@ def random_instance(seed, gcn=True, activation="tanh", dim=4):
 
 def kg_batch(kg, pos, count, rng):
     return _kg_batch(np.array(pos, dtype=np.int64), relation_stats(kg),
-                     kg.triple_set(), kg.n_entities, count, rng)
+                     ObservedTriples.of(kg), count, rng)
 
 
 def random_kg_batch(rng, kg, stats, bsz=3, m=2):
     pos_idx = rng.integers(len(kg.triples), size=bsz)
     pos = np.array([kg.triples[i] for i in pos_idx])
-    return _kg_batch(pos, stats, kg.triple_set(), kg.n_entities, m, rng)
+    return _kg_batch(pos, stats, ObservedTriples.of(kg), m, rng)
 
 
 def random_text_batch(rng, space, bsz=4, m=3):
@@ -451,3 +457,180 @@ class TestSerialization:
         space = init_space(kg, corpus, small_config(),
                            np.random.default_rng(0))
         assert space.lexemes == ("a", "c", "b")
+
+
+def dense_kg(rng, n_entities=5, n_relations=2, density=0.6):
+    """A KG holding about `density` of all possible triples, so that
+    corruptions often collide with observed triples."""
+    every = [(h, r, t) for h in range(n_entities)
+             for r in range(n_relations) for t in range(n_entities)]
+    keep = [x for x in every if rng.random() < density]
+    return KnowledgeGraph(
+        lang="xx", entities=tuple(f"e{i}" for i in range(n_entities)),
+        relations=tuple(f"r{i}" for i in range(n_relations)),
+        triples=tuple(keep))
+
+
+class TestKernelsBitExact:
+    """The training step's kernels against their earlier implementations
+    in `oracles`: every array must be equal bit for bit, not just close."""
+
+    @staticmethod
+    def repeated_kg_batch(rng, n_ent, n_rel, bsz=16, m=5):
+        # few entities and many draws, so every index repeats
+        pos = np.stack([rng.integers(n_ent, size=bsz),
+                        rng.integers(n_rel, size=bsz),
+                        rng.integers(n_ent, size=bsz)], axis=1)
+        return KGBatch(positives=pos,
+                       neg_heads=rng.integers(n_ent, size=(bsz, m)),
+                       neg_tails=rng.integers(n_ent, size=(bsz, m)))
+
+    @staticmethod
+    def assert_backprop_equal(space, graph, cache, grads, d_ent):
+        """grads equal d_ent (the oracle's gradient on the GCN output)
+        carried back through the GCN, or d_ent itself without a GCN."""
+        d_ent0, d_weights = _gcn_backward(space, graph, cache, d_ent)
+        np.testing.assert_array_equal(grads["ent0"], d_ent0)
+        for i, dw in enumerate(d_weights):
+            np.testing.assert_array_equal(grads[f"gcn_{i}"], dw)
+
+    @pytest.mark.parametrize("gcn", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kg_loss_gradients(self, gcn, seed):
+        rng, kg, _, cfg, space, graph, _ = random_instance(seed, gcn=gcn)
+        batch = self.repeated_kg_batch(rng, kg.n_entities, kg.n_relations)
+        loss, grads = kg_loss(batch, space, graph, cfg.bias_b)
+        ent, cache = _gcn_forward_cached(space, graph)
+        want_loss, d_ent, d_rel = add_at_kg_grads(batch, ent, space.rel,
+                                                  cfg.bias_b)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grads["rel"], d_rel)
+        self.assert_backprop_equal(space, graph, cache, grads, d_ent)
+
+    @pytest.mark.parametrize("gcn", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_text_loss_gradients(self, gcn, seed):
+        rng, _, _, _, space, graph, _ = random_instance(seed + 10, gcn=gcn)
+        batch = random_text_batch(rng, space, bsz=24, m=6)
+        loss, grads = text_loss(batch, space, graph)
+        ent, cache = _gcn_forward_cached(space, graph)
+        want_loss, d_ent, d_lex = add_at_text_grads(batch, ent, space.lex)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grads["lex"], d_lex)
+        self.assert_backprop_equal(space, graph, cache, grads, d_ent)
+
+    def test_text_loss_without_lexemes(self):
+        kg = from_string_triples([("a", "r", "b"), ("b", "r", "c")], "xx")
+        corpus = make_corpus([[("ent", "a"), ("ent", "b"), ("ent", "c")]])
+        space = make_space(kg, corpus, small_config(gcn_enabled=False))
+        assert space.n_lexemes == 0
+        batch = TextBatch(centers=np.array([0, 1, 1]),
+                          contexts=np.array([1, 0, 2]),
+                          negatives=np.array([[2, 2], [0, 1], [1, 1]]))
+        _, grads = text_loss(batch, space, None)
+        _, d_ent, d_lex = add_at_text_grads(batch, space.ent0, space.lex)
+        np.testing.assert_array_equal(grads["ent0"], d_ent)
+        assert grads["lex"].shape == d_lex.shape == (0, space.dim)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kg_batch_and_rng_stream(self, seed):
+        rng = np.random.default_rng(seed)
+        kg = dense_kg(rng)
+        stats = relation_stats(kg)
+        triples = np.array(kg.triples, dtype=np.int64)
+        pos = triples[rng.integers(len(triples), size=12)]
+        fast_rng = np.random.default_rng(seed + 100)
+        slow_rng = np.random.default_rng(seed + 100)
+        batch = _kg_batch(pos, stats, ObservedTriples.of(kg), 8, fast_rng)
+        heads, tails, collisions = set_loop_negatives(
+            pos, stats.head_corruption_prob, kg.triple_set(),
+            kg.n_entities, 8, slow_rng)
+        assert collisions > 0
+        np.testing.assert_array_equal(batch.neg_heads, heads)
+        np.testing.assert_array_equal(batch.neg_tails, tails)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_amsgrad_steps(self):
+        rng = np.random.default_rng(0)
+        shapes = {"ent0": (7, 4), "rel": (2, 4), "lex": (5, 4),
+                  "gcn_0": (4, 4)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        m, v, v_hat = ({k: np.zeros(s) for k, s in shapes.items()}
+                       for _ in range(3))
+        opt = AMSGrad(params, lr=0.003, beta1=0.9, beta2=0.999)
+        for step in range(12):
+            # alternate KG and text steps, which touch different tables
+            names = (("rel", "ent0", "gcn_0") if step % 2 == 0
+                     else ("lex", "ent0", "gcn_0"))
+            grads = {k: rng.standard_normal(shapes[k]) * 10.0 ** (step % 3)
+                     for k in names}
+            opt.step(grads)
+            allocating_amsgrad_step(want, m, v, v_hat, grads, 0.003, 0.9,
+                                    0.999)
+            for k in shapes:
+                np.testing.assert_array_equal(params[k], want[k])
+                np.testing.assert_array_equal(opt.m[k], m[k])
+                np.testing.assert_array_equal(opt.v[k], v[k])
+                np.testing.assert_array_equal(opt.v_hat[k], v_hat[k])
+
+    @pytest.mark.parametrize("radius", [1, 2, 5])
+    def test_pair_array_order(self, radius):
+        rng = np.random.default_rng(radius)
+        docs = [rng.integers(9, size=int(rng.integers(0, 14)))
+                for _ in range(10)]
+        got = _pair_array(docs, radius)
+        want = stacked_pairs(docs, radius)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("docs", [[], [np.array([3])],
+                                      [np.array([], dtype=np.int64)]])
+    def test_pair_array_empty(self, docs):
+        assert _pair_array(docs, 3).shape == (0, 2)
+
+
+class TestObservedTriples:
+    @settings(max_examples=80, deadline=None)
+    @given(n_entities=st.integers(1, 6), n_relations=st.integers(1, 3),
+           data=st.data())
+    def test_contains_exactly_the_triple_set(self, n_entities, n_relations,
+                                             data):
+        every = [(h, r, t) for h in range(n_entities)
+                 for r in range(n_relations) for t in range(n_entities)]
+        triples = data.draw(st.lists(st.sampled_from(every), unique=True),
+                            label="triples")
+        kg = KnowledgeGraph(
+            lang="xx", entities=tuple(f"e{i}" for i in range(n_entities)),
+            relations=tuple(f"r{i}" for i in range(n_relations)),
+            triples=tuple(triples))
+        queries = np.array(data.draw(st.lists(st.sampled_from(every),
+                                              min_size=1), label="queries"))
+        observed = ObservedTriples.of(kg)
+        got = observed.contains(queries[:, 0], queries[:, 1], queries[:, 2])
+        assert got.tolist() == [tuple(q) in set(triples)
+                                for q in queries.tolist()]
+
+    def test_contains_broadcasts_relations(self):
+        kg = from_string_triples([("a", "r", "b"), ("b", "s", "a")], "xx")
+        observed = ObservedTriples.of(kg)
+        heads = np.array([[0, 1], [1, 0]])
+        tails = np.array([[1, 0], [0, 1]])
+        got = observed.contains(heads, np.array([[0], [1]]), tails)
+        assert got.tolist() == [[True, False], [True, False]]
+
+    def test_largest_key_fits_int64(self):
+        n_ent, n_rel = 2 ** 31, 2
+        last = (n_ent - 1, n_rel - 1, n_ent - 1)
+        kg = SimpleNamespace(n_entities=n_ent, n_relations=n_rel,
+                             triples=(last,), triple_set=lambda: {last})
+        observed = ObservedTriples.of(kg)
+        assert observed.keys.tolist() == [2 ** 63 - 1]
+        assert observed.contains(*(np.array([x]) for x in last)).tolist() \
+            == [True]
+
+    def test_key_overflow_rejected(self):
+        kg = SimpleNamespace(n_entities=2 ** 31, n_relations=3, triples=(),
+                             triple_set=set)
+        with pytest.raises(ValueError, match="overflow"):
+            ObservedTriples.of(kg)

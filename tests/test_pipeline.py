@@ -135,6 +135,16 @@ class TestAblations:
         with pytest.raises(ConfigError, match="both"):
             replace(OptimizerConfig(), use_kg_loss=False, use_text_loss=False)
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"max_iterations": -1}, "max_iterations"),
+        ({"stop_fraction": 0.0}, "stop_fraction"),
+        ({"stop_fraction": 5.0}, "stop_fraction"),
+    ])
+    def test_invalid_align_settings_rejected(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            quick_config(**overrides)
+
     def test_grid_and_table(self, bench, tmp_path):
         reports = run_ablation_grid(quick_config(), bench, tmp_path,
                                     seed=0, names=["full", "no_self_learning"])
