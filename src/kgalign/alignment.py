@@ -37,10 +37,13 @@ class AlignmentSpace:
 
     items: tuple[str, ...]
     vectors: np.ndarray              # unit rows
-    entity_mask: np.ndarray          # bool per item
+    entity_mask: np.ndarray | None = None  # bool per item; default: prefix
     index: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.entity_mask is None:
+            self.entity_mask = np.array([t.startswith(ENTITY_PREFIX)
+                                         for t in self.items])
         if not self.index:
             self.index = {it: i for i, it in enumerate(self.items)}
 
@@ -48,16 +51,10 @@ class AlignmentSpace:
     def n_entities(self) -> int:
         return int(self.entity_mask.sum())
 
-    def entity_ids(self) -> list[str]:
-        return [it[len(ENTITY_PREFIX):] for it, m in
-                zip(self.items, self.entity_mask) if m]
-
     @classmethod
     def from_file(cls, path) -> "AlignmentSpace":
         tokens, mat = read_embeddings(path)
-        mask = np.array([t.startswith(ENTITY_PREFIX) for t in tokens])
-        return cls(items=tuple(tokens), vectors=unit_rows(mat),
-                   entity_mask=mask)
+        return cls(items=tuple(tokens), vectors=unit_rows(mat))
 
     @classmethod
     def from_space(cls, space: EmbeddingSpace) -> "AlignmentSpace":
@@ -86,12 +83,6 @@ class AlignmentState:
     iteration: int = 0
     proposal_counts: list[int] = field(default_factory=list)
     lexeme_top_f: int = 10000
-
-    def aligned_source_entities(self) -> set[str]:
-        return {s for s, _ in self.ent_pairs}
-
-    def aligned_target_entities(self) -> set[str]:
-        return {t for _, t in self.ent_pairs}
 
     def pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked (X, Y) vectors of all current pairs, entities + lexemes."""
@@ -184,11 +175,9 @@ def propose_pairs(state: AlignmentState,
     limited to the top-F frequency cutoff.  A mutual pair survives only if
     both items have the same type; existing lexeme pairs are not re-proposed.
     """
-    src_idx = _candidate_indices(state.source,
-                                 state.aligned_source_entities(),
+    src_idx = _candidate_indices(state.source, {s for s, _ in state.ent_pairs},
                                  state.lexeme_top_f)
-    tgt_idx = _candidate_indices(state.target,
-                                 state.aligned_target_entities(),
+    tgt_idx = _candidate_indices(state.target, {t for _, t in state.ent_pairs},
                                  state.lexeme_top_f)
     if len(src_idx) == 0 or len(tgt_idx) == 0:
         return []
@@ -316,27 +305,34 @@ def save_state(state: AlignmentState, path) -> None:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
 
-def _space_from_payload(data) -> AlignmentSpace:
-    items = tuple(data["items"])
-    mask = np.array([t.startswith(ENTITY_PREFIX) for t in items])
-    return AlignmentSpace(items=items, vectors=np.array(data["vectors"]),
-                          entity_mask=mask)
-
-
 def load_state(path) -> AlignmentState:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return AlignmentState(
-        source=_space_from_payload(data["source"]),
-        target=_space_from_payload(data["target"]),
-        ent_pairs=[tuple(p) for p in data["ent_pairs"]],
-        lex_pairs=[tuple(p) for p in data["lex_pairs"]],
-        transform=(np.array(data["transform"])
-                   if data["transform"] is not None else None),
-        iteration=data["iteration"],
-        proposal_counts=list(data["proposal_counts"]),
-        lexeme_top_f=data["lexeme_top_f"],
-    )
+    """The state saved by `save_state`; a malformed file raises a
+    ValueError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON state file: {exc}") from None
+    try:
+        state = AlignmentState(
+            source=AlignmentSpace(tuple(data["source"]["items"]),
+                                  np.array(data["source"]["vectors"])),
+            target=AlignmentSpace(tuple(data["target"]["items"]),
+                                  np.array(data["target"]["vectors"])),
+            ent_pairs=[tuple(p) for p in data["ent_pairs"]],
+            lex_pairs=[tuple(p) for p in data["lex_pairs"]],
+            transform=np.array(data.get("transform"), dtype=float),
+            iteration=data["iteration"],
+            proposal_counts=list(data["proposal_counts"]),
+            lexeme_top_f=data["lexeme_top_f"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed state file: {exc!r}") from None
+    shape = (state.target.vectors.shape[-1], state.source.vectors.shape[-1])
+    if state.transform.shape != shape:
+        raise ValueError(f"{path}: transform must be a {shape[0]}x{shape[1]} "
+                         f"matrix, not {json.dumps(data.get('transform')):.40}")
+    return state
 
 
 def load_seed_pairs(path) -> list[tuple[str, str]]:

@@ -6,17 +6,15 @@ Exit codes: 0 success, 1 input/configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import alignment, embedding, grounding, kg, pipeline, synth
-from .config import (ConfigError, NeighborQuery, OptimizerConfig,
+from .config import (CANDIDATE_MODES, METRICS, ConfigError, OptimizerConfig,
                      PipelineConfig, load_optimizer_config)
 from .embedding import TrainingDivergence
-from .evaluation import evaluate
 
 
 @click.group()
@@ -26,7 +24,14 @@ def cli():
 
 _SYNTH_DEFAULTS = synth.BenchmarkParams()
 
-# flag of each pipeline.ABLATIONS entry that `run` and `train` can switch on
+# synth.BenchmarkParams fields in option order; the option of `n_walks` is
+# `--walks`, of `walk_length` `--walk-length`
+_SYNTH_FIELDS = ("n_entities", "n_triples", "n_relations", "edge_drop",
+                 "n_walks", "walk_length", "n_common_concepts",
+                 "signature_size", "concept_skew", "seed_lexicon_size")
+
+# flag of each pipeline.ABLATIONS entry that `run`, `train` and `align` can
+# switch on
 ABLATION_FLAGS = {
     "no_self_learning": "--no-self-learning",
     "no_gcn": "--no-gcn",
@@ -51,42 +56,54 @@ def _with_ablation_flags(names):
                           for n in names])
 
 
-def _chosen(flags: dict) -> list[str]:
-    """Ablation names whose flag is set, in the order of the table."""
-    return [name for name in pipeline.ABLATIONS if flags.get(name)]
+_SETTINGS = PipelineConfig()
+
+# option and type (None: that of the default) of each align and evaluate
+# setting of PipelineConfig; the option's parameter is named after its field
+_SETTING_OPTIONS = {
+    "metric": ("--metric", click.Choice(METRICS)),
+    "csls_k": ("--csls-k", None),
+    "stop_fraction": ("--stop-frac", None),
+    "max_iterations": ("--max-iterations", None),
+    "lexeme_top_f": ("--top-f", None),
+    "seed_fraction": ("--seed-frac", None),
+    "eval_p": ("--p", None),
+    "candidate_mode": ("--candidates", click.Choice(CANDIDATE_MODES)),
+}
+
+
+def _setting_options(*fields):
+    return [click.option(_SETTING_OPTIONS[f][0], f, type=_SETTING_OPTIONS[f][1],
+                         default=getattr(_SETTINGS, f), show_default=True)
+            for f in fields]
+
+
+def _pipeline_config(config_path=None, desk_scale=True,
+                     **options) -> PipelineConfig:
+    """The validated PipelineConfig of a command's setting options and
+    ablation flags, over the desk-scale (or full-scale) optimizer config
+    and `--config`."""
+    opt = OptimizerConfig.desk_scale() if desk_scale else OptimizerConfig()
+    if config_path:
+        opt = load_optimizer_config(config_path, opt)
+    cfg = PipelineConfig(optimizer=opt, **{
+        k: v for k, v in options.items() if k not in pipeline.ABLATIONS})
+    for name in pipeline.ABLATIONS:  # set flags, in the order of the table
+        if options.get(name):
+            cfg = pipeline.ablation_config(cfg, name)
+    return cfg
 
 
 @cli.command("synth")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--entities", default=_SYNTH_DEFAULTS.n_entities,
-              show_default=True)
-@click.option("--triples", default=_SYNTH_DEFAULTS.n_triples,
-              show_default=True)
-@click.option("--relations", default=_SYNTH_DEFAULTS.n_relations,
-              show_default=True)
-@click.option("--edge-drop", default=_SYNTH_DEFAULTS.edge_drop,
-              show_default=True)
-@click.option("--walks", default=_SYNTH_DEFAULTS.n_walks, show_default=True)
-@click.option("--walk-length", default=_SYNTH_DEFAULTS.walk_length,
-              show_default=True)
-@click.option("--common-concepts", default=_SYNTH_DEFAULTS.n_common_concepts,
-              show_default=True)
-@click.option("--signature-size", default=_SYNTH_DEFAULTS.signature_size,
-              show_default=True)
-@click.option("--concept-skew", default=_SYNTH_DEFAULTS.concept_skew,
-              show_default=True)
-@click.option("--seed-lexicon-size", default=_SYNTH_DEFAULTS.seed_lexicon_size,
-              show_default=True)
+@_with_options([click.option(
+    "--" + name.removeprefix("n_").replace("_", "-"), name,
+    default=getattr(_SYNTH_DEFAULTS, name), show_default=True)
+    for name in _SYNTH_FIELDS])
 @click.option("--seed", default=0, show_default=True)
-def synth_cmd(out_dir, entities, triples, relations, edge_drop, walks,
-              walk_length, common_concepts, signature_size, concept_skew,
-              seed_lexicon_size, seed):
+def synth_cmd(out_dir, seed, **params):
     """Generate a synthetic two-language benchmark."""
-    params = synth.BenchmarkParams(
-        n_entities=entities, n_triples=triples, n_relations=relations,
-        edge_drop=edge_drop, n_walks=walks, walk_length=walk_length,
-        n_common_concepts=common_concepts, signature_size=signature_size,
-        concept_skew=concept_skew, seed_lexicon_size=seed_lexicon_size)
+    params = synth.BenchmarkParams(**params)
     paths = synth.generate_benchmark(params, seed, out_dir)
     click.echo(f"benchmark written to {Path(out_dir)}")
     click.echo(f"  source triples: {paths.src_triples}")
@@ -124,14 +141,11 @@ def ground_cmd(kg_path, forms, corpus, out, lang, no_case_fold, min_freq):
 def train_cmd(kg_path, grounded, config_path, seed, out_prefix, lang,
               desk_scale, **flags):
     """Train the joint KG + text embedding of one language."""
-    base = OptimizerConfig.desk_scale() if desk_scale else OptimizerConfig()
-    cfg = load_optimizer_config(config_path, base) if config_path else base
-    for name in _chosen(flags):
-        cfg = replace(cfg, **pipeline.ABLATIONS[name][1])
+    cfg = _pipeline_config(config_path, desk_scale, **flags).optimizer
     graph = kg.load_kg(kg_path, lang)
     corpus = grounding.load_pregrounded(grounded, graph,
                                         min_freq=cfg.min_freq)
-    space = embedding.train(graph, corpus, cfg, seed)
+    space, _ = embedding.train(graph, corpus, cfg, seed)
     embedding.write_embeddings(space, out_prefix)
     click.echo(f"embeddings written to {out_prefix}.vec")
 
@@ -141,32 +155,20 @@ def train_cmd(kg_path, grounded, config_path, seed, out_prefix, lang,
 @click.option("--tgt-emb", required=True, type=click.Path())
 @click.option("--seed-entities", required=True, type=click.Path(exists=True))
 @click.option("--seed-lexicon", type=click.Path(exists=True))
-@click.option("--metric", default="csls", type=click.Choice(["csls", "l2"]),
-              show_default=True)
-@click.option("--csls-k", default=10, show_default=True)
-@click.option("--stop-frac", default=0.01, show_default=True)
-@click.option("--max-iterations", default=50, show_default=True)
-@click.option("--top-f", default=10000, show_default=True)
-@click.option("--no-self-learning", is_flag=True)
+@_with_options(_setting_options("metric", "csls_k", "stop_fraction",
+                                "max_iterations", "lexeme_top_f"))
+@_with_ablation_flags(["no_self_learning"])
 @click.option("--out", "out_path", required=True, type=click.Path())
-def align_cmd(src_emb, tgt_emb, seed_entities, seed_lexicon, metric, csls_k,
-              stop_frac, max_iterations, top_f, no_self_learning, out_path):
+def align_cmd(src_emb, tgt_emb, seed_entities, seed_lexicon, out_path,
+              **options):
     """Induce the cross-space transform by self-learning."""
-    state = alignment.AlignmentState(
-        source=alignment.AlignmentSpace.from_file(f"{src_emb}.vec"),
-        target=alignment.AlignmentSpace.from_file(f"{tgt_emb}.vec"),
-        ent_pairs=alignment.load_seed_pairs(seed_entities),
-        lexeme_top_f=top_f,
-    )
-    if seed_lexicon:
-        state.lex_pairs.extend(alignment.load_seed_pairs(seed_lexicon))
-    query = NeighborQuery(metric=metric, csls_k=csls_k)
-    if no_self_learning:
-        alignment.solve_once(state)
-    else:
-        alignment.self_learn(state, query, stop_fraction=stop_frac,
-                             max_iterations=max_iterations)
-    alignment.save_state(state, out_path)
+    cfg = _pipeline_config(use_seed_lexicon=seed_lexicon is not None,
+                           **options)
+    state = pipeline.align_stage(
+        cfg, alignment.AlignmentSpace.from_file(f"{src_emb}.vec"),
+        alignment.AlignmentSpace.from_file(f"{tgt_emb}.vec"),
+        alignment.load_seed_pairs(seed_entities), seed_entities,
+        seed_lexicon, out_path)
     click.echo(f"iterations\t{state.iteration}")
     click.echo(f"entity_pairs\t{len(state.ent_pairs)}")
     click.echo(f"lexeme_pairs\t{len(state.lex_pairs)}")
@@ -177,34 +179,17 @@ def align_cmd(src_emb, tgt_emb, seed_entities, seed_lexicon, metric, csls_k,
               type=click.Path(exists=True))
 @click.option("--test", "test_path", required=True,
               type=click.Path(exists=True))
-@click.option("--p", default=10, show_default=True)
-@click.option("--metric", default="csls", type=click.Choice(["csls", "l2"]),
-              show_default=True)
-@click.option("--csls-k", default=10, show_default=True)
-@click.option("--candidates", default="test",
-              type=click.Choice(["test", "all"]), show_default=True)
+@_with_options(_setting_options("eval_p", "metric", "csls_k",
+                                "candidate_mode"))
 @click.option("--out", "out_path", type=click.Path())
-def eval_cmd(state_path, test_path, p, metric, csls_k, candidates, out_path):
+def eval_cmd(state_path, test_path, out_path, **options):
     """Evaluate alignment predictions against gold pairs."""
+    cfg = _pipeline_config(**options)
     state = alignment.load_state(state_path)
-    test_pairs = alignment.load_seed_pairs(test_path)
-    query = NeighborQuery(metric=metric, csls_k=csls_k)
-    report = evaluate(test_pairs, state, query, p=p,
-                      candidate_mode=candidates)
+    report = pipeline.evaluate_stage(
+        cfg, alignment.load_seed_pairs(test_path), state, out_path)
     for line in report.lines():
         click.echo(line)
-    if out_path:
-        report.write(out_path)
-
-
-def _pipeline_config(config_path, metric, csls_k, stop_frac, seed_frac, p,
-                     candidates) -> PipelineConfig:
-    opt = OptimizerConfig.desk_scale()
-    if config_path:
-        opt = load_optimizer_config(config_path, opt)
-    return PipelineConfig(
-        optimizer=opt, metric=metric, csls_k=csls_k, stop_fraction=stop_frac,
-        seed_fraction=seed_frac, eval_p=p, candidate_mode=candidates)
 
 
 _run_options = [
@@ -213,27 +198,17 @@ _run_options = [
     click.option("--out", "out_dir", required=True, type=click.Path()),
     click.option("--config", "config_path", type=click.Path(exists=True)),
     click.option("--seed", default=0, show_default=True),
-    click.option("--metric", default="csls",
-                 type=click.Choice(["csls", "l2"]), show_default=True),
-    click.option("--csls-k", default=10, show_default=True),
-    click.option("--stop-frac", default=0.01, show_default=True),
-    click.option("--seed-frac", default=0.3, show_default=True),
-    click.option("--p", default=10, show_default=True),
-    click.option("--candidates", default="test",
-                 type=click.Choice(["test", "all"]), show_default=True),
+    *_setting_options("metric", "csls_k", "stop_fraction", "seed_fraction",
+                      "eval_p", "candidate_mode"),
 ]
 
 
 @cli.command("run")
 @_with_options(_run_options)
 @_with_ablation_flags(ABLATION_FLAGS)
-def run_cmd(bench, out_dir, config_path, seed, metric, csls_k, stop_frac,
-            seed_frac, p, candidates, **flags):
+def run_cmd(bench, out_dir, config_path, seed, **options):
     """Run the full pipeline on a benchmark directory."""
-    cfg = _pipeline_config(config_path, metric, csls_k, stop_frac, seed_frac,
-                           p, candidates)
-    for name in _chosen(flags):
-        cfg = pipeline.ablation_config(cfg, name)
+    cfg = _pipeline_config(config_path, **options)
     paths = synth.BenchmarkPaths.in_dir(bench)
     pipeline.run_pipeline(cfg, paths, out_dir, seed, log=click.echo)
 
@@ -242,11 +217,9 @@ def run_cmd(bench, out_dir, config_path, seed, metric, csls_k, stop_frac,
 @_with_options(_run_options)
 @click.option("--settings", default=",".join(pipeline.ABLATIONS),
               show_default=True, help="comma-separated ablation names")
-def ablate_cmd(bench, out_dir, config_path, seed, metric, csls_k, stop_frac,
-               seed_frac, p, candidates, settings):
+def ablate_cmd(bench, out_dir, config_path, seed, settings, **options):
     """Run the ablation grid and print a comparison table."""
-    cfg = _pipeline_config(config_path, metric, csls_k, stop_frac, seed_frac,
-                           p, candidates)
+    cfg = _pipeline_config(config_path, **options)
     paths = synth.BenchmarkPaths.in_dir(bench)
     names = [s.strip() for s in settings.split(",") if s.strip()]
     reports = pipeline.run_ablation_grid(cfg, paths, out_dir, seed,

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-CONFIG_KEYS = (
-    "dim", "gcn_layers", "activation", "neg_samples", "context_radius",
-    "bias_b", "batch_size", "lr", "beta1", "beta2", "epochs", "min_freq",
-)
-
 ACTIVATIONS = ("relu", "identity", "tanh")
+METRICS = ("csls", "l2")
+CANDIDATE_MODES = ("test", "all")
 
 
 class ConfigError(ValueError):
@@ -70,12 +67,10 @@ class OptimizerConfig:
         return cls(**defaults)
 
 
-_TYPES = {
-    "dim": int, "gcn_layers": int, "neg_samples": int, "context_radius": int,
-    "batch_size": int, "epochs": int, "min_freq": int,
-    "bias_b": float, "lr": float, "beta1": float, "beta2": float,
-    "activation": str,
-}
+# type of each config-file key: every OptimizerConfig field but the
+# ablation switches
+_TYPES = {f.name: type(f.default) for f in fields(OptimizerConfig)
+          if not isinstance(f.default, bool)}
 
 
 def parse_config_file(path) -> dict:
@@ -90,7 +85,7 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}: line {lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
+            if key not in _TYPES:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
             try:
                 values[key] = _TYPES[key](value)
@@ -114,7 +109,7 @@ class NeighborQuery:
     csls_k: int = 10
 
     def __post_init__(self):
-        if self.metric not in ("csls", "l2"):
+        if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if self.csls_k < 1:
             raise ConfigError("csls_k must be >= 1")
@@ -122,7 +117,9 @@ class NeighborQuery:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Full-pipeline settings: training config plus ablation switches."""
+    """Full-pipeline settings: the training config plus the align and
+    evaluate settings and ablation switches.  Every subcommand validates
+    its settings here, and the CLI takes its defaults from here."""
 
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig.desk_scale)
     metric: str = "csls"
@@ -143,8 +140,13 @@ class PipelineConfig:
             raise ConfigError("max_iterations must be >= 1")
         if not (0 < self.seed_fraction < 1):
             raise ConfigError("seed_fraction must lie in (0, 1)")
-        if self.candidate_mode not in ("test", "all"):
+        if self.candidate_mode not in CANDIDATE_MODES:
             raise ConfigError(f"unknown candidate mode {self.candidate_mode!r}")
+        if self.lexeme_top_f < 0:
+            raise ConfigError("lexeme_top_f must be >= 0")
+        if self.eval_p < 1:
+            raise ConfigError("eval_p must be >= 1")
+        self.neighbor_query()  # validates metric and csls_k
 
     def neighbor_query(self) -> NeighborQuery:
         return NeighborQuery(metric=self.metric, csls_k=self.csls_k)

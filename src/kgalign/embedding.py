@@ -26,12 +26,10 @@ class TrainingDivergence(RuntimeError):
     parameter, or an all-zero row that cannot be normalized."""
 
 
-def xavier_uniform(rng: np.random.Generator, n_rows: int, n_cols: int,
-                   fan_in: int | None = None,
-                   fan_out: int | None = None) -> np.ndarray:
-    fan_in = n_rows if fan_in is None else fan_in
-    fan_out = n_cols if fan_out is None else fan_out
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def xavier_uniform(rng: np.random.Generator, n_rows: int,
+                   n_cols: int) -> np.ndarray:
+    """Xavier-uniform rows with fan-in and fan-out both the width `n_cols`."""
+    limit = np.sqrt(6.0 / (n_cols + n_cols))
     return rng.uniform(-limit, limit, size=(n_rows, n_cols))
 
 
@@ -59,8 +57,7 @@ class EmbeddingSpace:
     ent0: np.ndarray
     rel: np.ndarray
     lex: np.ndarray
-    gcn_weights: list[np.ndarray]
-    gcn_enabled: bool = True
+    gcn_weights: list[np.ndarray]           # empty without a GCN
     activation: str = "relu"
     ent_out: np.ndarray | None = None
     ent_index: dict[str, int] = field(default_factory=dict)
@@ -108,16 +105,15 @@ def init_space(kg: KnowledgeGraph, corpus: GroundedCorpus,
     order = sorted(range(len(items)), key=lambda i: (-items[i][1], i))
     lexemes = tuple(items[i][0] for i in order)
     freqs = tuple(items[i][1] for i in order)
-    ent0 = xavier_uniform(rng, kg.n_entities, k, fan_in=k, fan_out=k)
-    rel = xavier_uniform(rng, kg.n_relations, k, fan_in=k, fan_out=k)
-    lex = xavier_uniform(rng, len(lexemes), k, fan_in=k, fan_out=k)
+    ent0 = xavier_uniform(rng, kg.n_entities, k)
+    rel = xavier_uniform(rng, kg.n_relations, k)
+    lex = xavier_uniform(rng, len(lexemes), k)
     n_layers = cfg.gcn_layers if cfg.gcn_enabled else 0
     gcn = [xavier_uniform(rng, k, k) for _ in range(n_layers)]
     return EmbeddingSpace(
         lang=kg.lang, dim=k, entities=kg.entities, relations=kg.relations,
         lexemes=lexemes, lexeme_freqs=freqs, ent0=ent0, rel=rel, lex=lex,
-        gcn_weights=gcn, gcn_enabled=cfg.gcn_enabled,
-        activation=cfg.activation)
+        gcn_weights=gcn, activation=cfg.activation)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +152,13 @@ def _gcn_backward(space: EmbeddingSpace, graph: GraphStructure, cache,
     return de, d_weights
 
 
-def entity_output(space: EmbeddingSpace,
-                  graph: GraphStructure | None) -> np.ndarray:
-    if space.gcn_enabled:
-        if graph is None:
-            raise ValueError("graph structure required when GCN is enabled")
-        return gcn_forward(space, graph)
-    return space.ent0
+def _entity_grads(space: EmbeddingSpace, graph: GraphStructure | None, cache,
+                  d_ent: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of `ent0` and the GCN weights from that of the entity
+    output; without GCN layers the output is `ent0` itself."""
+    d_ent0, d_weights = _gcn_backward(space, graph, cache, d_ent)
+    return {"ent0": d_ent0,
+            **{f"gcn_{i}": dw for i, dw in enumerate(d_weights)}}
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +204,7 @@ def kg_loss(batch: KGBatch, space: EmbeddingSpace,
     negatives, averaged over the batch.  The positive term is included in
     the denominator so the loss is bounded and strictly positive.
     """
-    cache = None
-    if space.gcn_enabled:
-        ent, cache = _gcn_forward_cached(space, graph)
-    else:
-        ent = space.ent0
+    ent, cache = _gcn_forward_cached(space, graph)
 
     h, r, t = batch.positives[:, 0], batch.positives[:, 1], batch.positives[:, 2]
     bsz, m = batch.neg_heads.shape
@@ -243,15 +235,7 @@ def kg_loss(batch: KGBatch, space: EmbeddingSpace,
     d_rel = _scatter_rows((r, r), (g_pos, g_neg.sum(axis=1)),
                           len(space.rel))
 
-    grads = {"rel": d_rel}
-    if space.gcn_enabled:
-        d_ent0, d_weights = _gcn_backward(space, graph, cache, d_ent)
-        grads["ent0"] = d_ent0
-        for i, dw in enumerate(d_weights):
-            grads[f"gcn_{i}"] = dw
-    else:
-        grads["ent0"] = d_ent
-    return loss, grads
+    return loss, {"rel": d_rel, **_entity_grads(space, graph, cache, d_ent)}
 
 
 def text_loss(batch: TextBatch, space: EmbeddingSpace,
@@ -262,11 +246,7 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
     co-occurring tokens are pulled together.  Entity tokens resolve to GCN
     outputs; gradients on them flow back into the base table and weights.
     """
-    cache = None
-    if space.gcn_enabled:
-        ent, cache = _gcn_forward_cached(space, graph)
-    else:
-        ent = space.ent0
+    ent, cache = _gcn_forward_cached(space, graph)
     n_ent = space.n_entities
     tokens = np.concatenate([ent, space.lex])  # rows by unified index
 
@@ -301,15 +281,7 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
         space.n_tokens)
     d_ent, d_lex = d_tok[:n_ent], d_tok[n_ent:]
 
-    grads = {"lex": d_lex}
-    if space.gcn_enabled:
-        d_ent0, d_weights = _gcn_backward(space, graph, cache, d_ent)
-        grads["ent0"] = d_ent0
-        for i, dw in enumerate(d_weights):
-            grads[f"gcn_{i}"] = dw
-    else:
-        grads["ent0"] = d_ent
-    return loss, grads
+    return loss, {"lex": d_lex, **_entity_grads(space, graph, cache, d_ent)}
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +465,14 @@ class TrainHistory:
     epoch_text_loss: list[float] = field(default_factory=list)
 
 
-def train_with_history(kg: KnowledgeGraph, corpus: GroundedCorpus,
-                       cfg: OptimizerConfig, seed: int,
-                       graph: GraphStructure | None = None
-                       ) -> tuple[EmbeddingSpace, TrainHistory]:
+def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
+          seed: int) -> tuple[EmbeddingSpace, TrainHistory]:
     """Alternating KG/text AMSGrad training; deterministic under a fixed seed."""
     from .kg import build_graph_structure
 
     rng = np.random.default_rng(seed)
     space = init_space(kg, corpus, cfg, rng)
-    if graph is None and cfg.gcn_enabled:
-        graph = build_graph_structure(kg)
+    graph = build_graph_structure(kg) if cfg.gcn_enabled else None
     stats = relation_stats(kg)
     observed = ObservedTriples.of(kg)
     triples = np.array(kg.triples, dtype=np.int64)
@@ -563,13 +532,8 @@ def train_with_history(kg: KnowledgeGraph, corpus: GroundedCorpus,
 
     if not space.all_finite():
         raise TrainingDivergence("non-finite parameters after training")
-    space.ent_out = entity_output(space, graph)
+    space.ent_out = gcn_forward(space, graph)
     return space, history
-
-
-def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
-          seed: int) -> EmbeddingSpace:
-    return train_with_history(kg, corpus, cfg, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +560,37 @@ def write_embeddings(space: EmbeddingSpace, prefix) -> None:
 
 
 def read_embeddings(path) -> tuple[list[str], np.ndarray]:
+    """Tokens and rows of a word2vec text file.  A bad header, a duplicate
+    token, a row of the wrong width or count, and a non-numeric or
+    non-finite value raise a ValueError with the file and line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
+        if len(header) != 2 or not all(h.isdigit() for h in header):
+            raise ValueError(f"{path}: line 1: expected a `<count> <dim>` "
+                             "header")
         count, dim = int(header[0]), int(header[1])
-        tokens, rows = [], []
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            tokens.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
-    if len(tokens) != count or any(len(r) != dim for r in rows):
-        raise ValueError(f"{path}: inconsistent embedding file")
-    return tokens, np.array(rows)
+        line_of, rows = {}, []
+        for lineno, line in enumerate(fh, start=2):
+            token, *values = line.rstrip("\n").split(" ")
+            where = f"{path}: line {lineno}:"
+            if token in line_of:
+                raise ValueError(f"{where} duplicate token {token!r}, first "
+                                 f"on line {line_of[token]}")
+            if len(values) != dim:
+                raise ValueError(f"{where} {len(values)} values, the header "
+                                 f"says {dim}")
+            try:
+                rows.append([float(x) for x in values])
+            except ValueError as exc:
+                raise ValueError(f"{where} {exc}") from None
+            line_of[token] = lineno
+    tokens = list(line_of)
+    if len(tokens) != count:
+        raise ValueError(f"{path}: line {min(len(tokens), count) + 2}: "
+                         f"{len(tokens)} rows, the header says {count}")
+    mat = np.array(rows).reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value for "
+                         f"{tokens[bad[0]]!r}")
+    return tokens, mat

@@ -46,16 +46,12 @@ def evaluate(test_pairs: list[tuple[str, str]], state: AlignmentState,
     if not test_pairs:
         raise ValueError("empty test set")
     if candidate_mode == "all":
-        candidates = state.target.entity_ids()
+        candidates = [it[len(ENTITY_PREFIX):] for it, m in zip(
+            state.target.items, state.target.entity_mask) if m]
     elif candidate_mode == "test":
-        seen = set()
-        candidates = []
-        for _, gold in test_pairs:
-            if gold not in seen:
-                seen.add(gold)
-                candidates.append(gold)
-        # keep target vocabulary order for deterministic tie-breaking
-        candidates.sort(key=lambda e: state.target.index[ENTITY_PREFIX + e])
+        # in target vocabulary order, for deterministic tie-breaking
+        candidates = sorted({gold for _, gold in test_pairs},
+                            key=lambda e: state.target.index[ENTITY_PREFIX + e])
     else:
         raise ValueError(f"unknown candidate mode {candidate_mode!r}")
 

@@ -103,23 +103,13 @@ class GroundedCorpus:
             self.lexicon = self._count_lexicon()
 
     def _count_lexicon(self) -> dict[str, int]:
-        counts: Counter[str] = Counter()
-        for doc in self.documents:
-            for tok in doc:
-                if not tok.is_entity:
-                    counts[tok.text] += 1
-        if self.min_freq > 1:
-            kept: dict[str, int] = {}
-            rare_total = 0
-            for text, c in counts.items():
-                if c >= self.min_freq:
-                    kept[text] = c
-                else:
-                    rare_total += c
-            if rare_total:
-                kept[RARE_TOKEN] = kept.get(RARE_TOKEN, 0) + rare_total
-            return kept
-        return dict(counts)
+        counts = Counter(tok.text for doc in self.documents for tok in doc
+                         if not tok.is_entity)
+        kept = {text: c for text, c in counts.items() if c >= self.min_freq}
+        rare_total = sum(counts.values()) - sum(kept.values())
+        if rare_total:
+            kept[RARE_TOKEN] = kept.get(RARE_TOKEN, 0) + rare_total
+        return kept
 
     def lexeme_of(self, token: Token) -> str:
         """Vocabulary form of a lexeme token (rare lexemes fold to <unk>)."""

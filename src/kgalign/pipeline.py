@@ -1,8 +1,7 @@
-"""End-to-end orchestration: ground -> train -> align -> evaluate.
-
-Every stage persists its artifacts under the run directory so stages can
-be inspected and re-run; identical config and seed reproduce identical
-files.
+"""End-to-end orchestration in four stages: ground -> train -> align ->
+evaluate.  `kgalign align` and `kgalign eval` run the last two alone.
+A run directory holds the artifacts of every stage; identical config and
+seed reproduce identical files.
 """
 
 from __future__ import annotations
@@ -13,8 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, embedding, grounding, kg
-from .config import ConfigError, NeighborQuery, PipelineConfig
+from .alignment import AlignmentSpace, AlignmentState
+from .config import ConfigError, PipelineConfig
 from .evaluation import EvalReport, evaluate
+from .grounding import ENTITY_PREFIX
 from .synth import BenchmarkPaths
 
 TGT_SEED_OFFSET = 1_000_003  # decorrelates the two training streams
@@ -27,6 +28,10 @@ class PipelineResult:
     report_path: Path
     src_emb_prefix: Path
     tgt_emb_prefix: Path
+
+
+def _quiet(_msg: str) -> None:
+    pass
 
 
 def split_gold(gold_pairs: list[tuple[str, str]], seed_fraction: float,
@@ -42,82 +47,120 @@ def split_gold(gold_pairs: list[tuple[str, str]], seed_fraction: float,
     return seed_pairs, test_pairs
 
 
-def _ground_side(triples_path, forms_path, corpus_path, lang, cfg,
-                 out_prefix: Path):
-    graph = kg.load_kg(triples_path, lang)
-    index = grounding.build_index(forms_path, graph)
-    corpus, stats = grounding.ground_corpus(corpus_path, index, graph,
-                                            min_freq=cfg.optimizer.min_freq)
-    grounding.write_grounded(corpus, out_prefix.with_suffix(".grounded"))
-    return graph, corpus, stats
-
-
-def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
-                 seed: int, log=None) -> PipelineResult:
-    log = log or (lambda _msg: None)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+def ground_stage(cfg: PipelineConfig, paths: BenchmarkPaths, log=_quiet):
+    """(KG, grounded corpus) of the source and of the target language."""
     log("stage ground: matching surface forms")
-    src_kg, src_corpus, src_stats = _ground_side(
-        paths.src_triples, paths.src_forms, paths.src_corpus, "src",
-        cfg, out / "src")
-    tgt_kg, tgt_corpus, tgt_stats = _ground_side(
-        paths.tgt_triples, paths.tgt_forms, paths.tgt_corpus, "tgt",
-        cfg, out / "tgt")
-    log(f"  src coverage={src_stats.coverage:.3f} "
-        f"avg_match={src_stats.avg_match:.1f}; "
-        f"tgt coverage={tgt_stats.coverage:.3f} "
-        f"avg_match={tgt_stats.avg_match:.1f}")
+    grounded, notes = [], []
+    for lang, triples, forms, corpus_path in (
+            ("src", paths.src_triples, paths.src_forms, paths.src_corpus),
+            ("tgt", paths.tgt_triples, paths.tgt_forms, paths.tgt_corpus)):
+        graph = kg.load_kg(triples, lang)
+        index = grounding.build_index(forms, graph)
+        corpus, stats = grounding.ground_corpus(
+            corpus_path, index, graph, min_freq=cfg.optimizer.min_freq)
+        grounded.append((graph, corpus))
+        notes.append(f"{lang} coverage={stats.coverage:.3f} "
+                     f"avg_match={stats.avg_match:.1f}")
+    log("  " + "; ".join(notes))
+    return tuple(grounded)
 
+
+def train_stage(cfg: PipelineConfig, grounded, seed: int, log=_quiet):
+    """The trained source and target embedding spaces."""
     log("stage train: joint KG+text embedding learning")
-    src_space = embedding.train(src_kg, src_corpus, cfg.optimizer, seed)
-    tgt_space = embedding.train(tgt_kg, tgt_corpus, cfg.optimizer,
-                                seed + TGT_SEED_OFFSET)
-    src_prefix, tgt_prefix = out / "src_emb", out / "tgt_emb"
-    embedding.write_embeddings(src_space, src_prefix)
-    embedding.write_embeddings(tgt_space, tgt_prefix)
+    (src_kg, src_corpus), (tgt_kg, tgt_corpus) = grounded
+    src_space, _ = embedding.train(src_kg, src_corpus, cfg.optimizer, seed)
+    tgt_space, _ = embedding.train(tgt_kg, tgt_corpus, cfg.optimizer,
+                                   seed + TGT_SEED_OFFSET)
+    return src_space, tgt_space
 
+
+def _check_seed_pairs(pairs, source: AlignmentSpace, target: AlignmentSpace,
+                      path) -> None:
+    """Seed entity pairs name known entities, each at most once a side."""
+    used = (set(), set())
+    for pair in pairs:
+        for side, space, entity, seen in zip(("source", "target"),
+                                             (source, target), pair, used):
+            if ENTITY_PREFIX + entity not in space.index:
+                problem = "is unknown"
+            elif entity in seen:
+                problem = "is used twice"
+            else:
+                seen.add(entity)
+                continue
+            raise ValueError(f"{path}: seed pair {pair[0]}\t{pair[1]}: "
+                             f"{side} entity {entity!r} {problem}")
+
+
+def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
+                target: AlignmentSpace, seed_pairs, seed_path, lexicon_path,
+                state_path, log=_quiet) -> AlignmentState:
+    """Induce the transform from the seed pairs read from `seed_path`, and
+    save the state.  With `cfg.use_seed_lexicon`, the pairs of
+    `lexicon_path` whose two items are in the spaces join the seeds."""
     log("stage align: self-learning transform induction")
-    gold = alignment.load_seed_pairs(paths.gold_entities)
-    seed_pairs, test_pairs = split_gold(gold, cfg.seed_fraction, seed)
-    state = alignment.AlignmentState(
-        source=alignment.AlignmentSpace.from_space(src_space),
-        target=alignment.AlignmentSpace.from_space(tgt_space),
-        ent_pairs=list(seed_pairs),
-        lexeme_top_f=cfg.lexeme_top_f,
-    )
+    _check_seed_pairs(seed_pairs, source, target, seed_path)
+    state = AlignmentState(source=source, target=target,
+                           ent_pairs=list(seed_pairs),
+                           lexeme_top_f=cfg.lexeme_top_f)
     if cfg.use_seed_lexicon:
-        lex_gold = alignment.load_seed_pairs(paths.gold_lexemes)
-        present = [
-            (s, t) for s, t in lex_gold
-            if s in state.source.index and t in state.target.index
-        ]
-        state.lex_pairs.extend(present)
-    query = cfg.neighbor_query()
+        state.lex_pairs.extend(
+            (s, t) for s, t in alignment.load_seed_pairs(lexicon_path)
+            if s in source.index and t in target.index)
     if cfg.no_self_learning:
         alignment.solve_once(state)
     else:
-        alignment.self_learn(state, query,
+        alignment.self_learn(state, cfg.neighbor_query(),
                              stop_fraction=cfg.stop_fraction,
                              max_iterations=cfg.max_iterations)
-    state_path = out / "alignment_state.json"
     alignment.save_state(state, state_path)
     log(f"  {state.iteration} iteration(s), "
         f"{len(state.ent_pairs)} entity pairs, "
         f"{len(state.lex_pairs)} lexeme pairs")
+    return state
 
+
+def evaluate_stage(cfg: PipelineConfig, test_pairs, state: AlignmentState,
+                   report_path=None, log=_quiet) -> EvalReport:
     log("stage eval: ranking held-out gold pairs")
-    report = evaluate(test_pairs, state, query, p=cfg.eval_p,
+    report = evaluate(test_pairs, state, cfg.neighbor_query(), p=cfg.eval_p,
                       candidate_mode=cfg.candidate_mode)
-    report_path = out / "report.tsv"
-    report.write(report_path)
+    if report_path is not None:
+        report.write(report_path)
     log(f"  h1={report.h_at_1:.4f} h_{report.p}={report.h_at_p:.4f} "
         f"mrr={report.mrr:.4f} n={report.n_test}")
-    return PipelineResult(report=report, state_path=state_path,
-                          report_path=report_path,
-                          src_emb_prefix=src_prefix,
-                          tgt_emb_prefix=tgt_prefix)
+    return report
+
+
+def _align_and_evaluate(cfg, paths, grounded, spaces, out: Path, seed: int,
+                        log) -> PipelineResult:
+    """Write the grounded corpora and the spaces to `out`, then align on
+    the seed split of the gold pairs and evaluate on the rest."""
+    out.mkdir(parents=True, exist_ok=True)
+    for side, (_, corpus), space in zip(("src", "tgt"), grounded, spaces):
+        grounding.write_grounded(corpus, out / f"{side}.grounded")
+        embedding.write_embeddings(space, out / f"{side}_emb")
+    gold = alignment.load_seed_pairs(paths.gold_entities)
+    seed_pairs, test_pairs = split_gold(gold, cfg.seed_fraction, seed)
+    state = align_stage(cfg, AlignmentSpace.from_space(spaces[0]),
+                        AlignmentSpace.from_space(spaces[1]), seed_pairs,
+                        paths.gold_entities, paths.gold_lexemes,
+                        out / "alignment_state.json", log)
+    report = evaluate_stage(cfg, test_pairs, state, out / "report.tsv", log)
+    return PipelineResult(report=report,
+                          state_path=out / "alignment_state.json",
+                          report_path=out / "report.tsv",
+                          src_emb_prefix=out / "src_emb",
+                          tgt_emb_prefix=out / "tgt_emb")
+
+
+def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
+                 seed: int, log=_quiet) -> PipelineResult:
+    grounded = ground_stage(cfg, paths, log)
+    spaces = train_stage(cfg, grounded, seed, log)
+    return _align_and_evaluate(cfg, paths, grounded, spaces, Path(out_dir),
+                               seed, log)
 
 
 # name -> (PipelineConfig overrides, OptimizerConfig overrides)
@@ -142,16 +185,24 @@ def ablation_config(base: PipelineConfig, name: str) -> PipelineConfig:
 
 
 def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
-                      seed: int, names=None, log=None) -> dict[str, EvalReport]:
-    names = names or list(ABLATIONS)
-    out = Path(out_dir)
+                      seed: int, names=None,
+                      log=_quiet) -> dict[str, EvalReport]:
+    """Each ablation's run in its own directory under `out_dir`.  The
+    corpora are grounded once (no ablation changes `min_freq`), and each
+    distinct optimizer config is trained once, when a setting first
+    needs it."""
+    configs = {name: ablation_config(base, name)
+               for name in names or ABLATIONS}
+    grounded = ground_stage(base, paths, log)
+    spaces = {}
     reports = {}
-    for name in names:
-        cfg = ablation_config(base, name)
-        if log:
-            log(f"== ablation: {name} ==")
-        result = run_pipeline(cfg, paths, out / name, seed, log=log)
-        reports[name] = result.report
+    for name, cfg in configs.items():
+        log(f"== ablation: {name} ==")
+        if cfg.optimizer not in spaces:
+            spaces[cfg.optimizer] = train_stage(cfg, grounded, seed, log)
+        reports[name] = _align_and_evaluate(
+            cfg, paths, grounded, spaces[cfg.optimizer],
+            Path(out_dir) / name, seed, log).report
     return reports
 
 

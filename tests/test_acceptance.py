@@ -20,7 +20,7 @@ from kgalign.config import NeighborQuery, OptimizerConfig, PipelineConfig
 from kgalign.evaluation import evaluate
 from kgalign.grounding import build_index, ground_corpus, ground_tokens
 from kgalign.kg import build_graph_structure, load_kg, relation_stats
-from kgalign.pipeline import ablation_config, run_pipeline
+from kgalign.pipeline import run_ablation_grid
 from kgalign.synth import BenchmarkParams, generate_benchmark
 
 from conftest import random_corpus, random_kg, small_config
@@ -313,11 +313,10 @@ def ablation_grid(tmp_path_factory):
     for seed in (0, 1, 2):
         paths = generate_benchmark(BenchmarkParams(), seed=seed,
                                    out_dir=out / f"bench{seed}")
+        reports = run_ablation_grid(base, paths, out / f"s{seed}", seed,
+                                    names=names)
         for name in names:
-            cfg = ablation_config(base, name)
-            result = run_pipeline(cfg, paths, out / f"s{seed}" / name,
-                                  seed=seed)
-            h1[name].append(result.report.h_at_1)
+            h1[name].append(reports[name].h_at_1)
     elapsed = time.perf_counter() - start
     return {name: float(np.mean(vals)) for name, vals in h1.items()}, elapsed
 

@@ -9,7 +9,7 @@ from kgalign.embedding import (AMSGrad, KGBatch, ObservedTriples, TextBatch,
                                _gcn_backward, _gcn_forward_cached, _kg_batch,
                                _pair_array, gcn_forward, init_space, kg_loss,
                                read_embeddings, text_loss, train,
-                               train_with_history, write_embeddings)
+                               write_embeddings)
 from kgalign.kg import (KnowledgeGraph, build_graph_structure,
                         from_string_triples, relation_stats)
 
@@ -371,7 +371,7 @@ class TestTrain:
         kg = random_kg(rng, n_entities=5, n_triples=8)
         corpus = random_corpus(rng, kg)
         cfg = small_config(epochs=0)
-        space = train(kg, corpus, cfg, seed=1)
+        space, _ = train(kg, corpus, cfg, seed=1)
         reference = init_space(kg, corpus, cfg, np.random.default_rng(1))
         np.testing.assert_array_equal(space.ent0, reference.ent0)
         np.testing.assert_array_equal(space.lex, reference.lex)
@@ -380,8 +380,7 @@ class TestTrain:
         rng = np.random.default_rng(1)
         kg = random_kg(rng, n_entities=6, n_triples=10)
         corpus = random_corpus(rng, kg, n_docs=3, doc_len=12)
-        _, history = train_with_history(kg, corpus, small_config(epochs=3),
-                                        seed=0)
+        _, history = train(kg, corpus, small_config(epochs=3), seed=0)
         assert history.kg_steps == history.text_steps > 0
 
     def test_gcn_disabled_output_equals_base(self):
@@ -389,7 +388,7 @@ class TestTrain:
         kg = random_kg(rng, n_entities=6, n_triples=10)
         corpus = random_corpus(rng, kg)
         cfg = small_config(epochs=2, gcn_enabled=False)
-        space = train(kg, corpus, cfg, seed=3)
+        space, _ = train(kg, corpus, cfg, seed=3)
         np.testing.assert_array_equal(space.ent_out, space.ent0)
 
     def test_seeded_determinism(self):
@@ -397,8 +396,8 @@ class TestTrain:
         kg = random_kg(rng, n_entities=6, n_triples=10)
         corpus = random_corpus(rng, kg)
         cfg = small_config(epochs=3)
-        a = train(kg, corpus, cfg, seed=7)
-        b = train(kg, corpus, cfg, seed=7)
+        a, _ = train(kg, corpus, cfg, seed=7)
+        b, _ = train(kg, corpus, cfg, seed=7)
         for name in a.parameters():
             np.testing.assert_array_equal(a.parameters()[name],
                                           b.parameters()[name])
@@ -408,20 +407,20 @@ class TestTrain:
         kg = random_kg(rng, n_entities=6, n_triples=10)
         corpus = random_corpus(rng, kg)
         cfg = small_config(epochs=2, use_kg_loss=False)
-        _, hist = train_with_history(kg, corpus, cfg, seed=0)
+        _, hist = train(kg, corpus, cfg, seed=0)
         # the same number of steps per epoch as with both losses on
         n_batches = int(np.ceil(len(kg.triples) / cfg.batch_size))
         assert hist.kg_steps == 0
         assert hist.text_steps == cfg.epochs * n_batches
-        _, hist = train_with_history(
-            kg, corpus, small_config(epochs=2, use_text_loss=False), seed=0)
+        _, hist = train(kg, corpus, small_config(epochs=2, use_text_loss=False),
+                        seed=0)
         assert hist.text_steps == 0 and hist.kg_steps > 0
 
     def test_all_parameters_finite_after_training(self):
         rng = np.random.default_rng(5)
         kg = random_kg(rng, n_entities=8, n_triples=14)
         corpus = random_corpus(rng, kg)
-        space = train(kg, corpus, small_config(epochs=5), seed=0)
+        space, _ = train(kg, corpus, small_config(epochs=5), seed=0)
         assert space.all_finite()
 
     def test_train_cli_single_entity_kg_exits_1(self, tmp_path,
@@ -439,7 +438,7 @@ class TestSerialization:
         rng = np.random.default_rng(6)
         kg = random_kg(rng, n_entities=5, n_triples=8)
         corpus = random_corpus(rng, kg)
-        space = train(kg, corpus, small_config(epochs=1), seed=0)
+        space, _ = train(kg, corpus, small_config(epochs=1), seed=0)
         write_embeddings(space, tmp_path / "emb")
         tokens, mat = read_embeddings(tmp_path / "emb.vec")
         assert len(tokens) == space.n_tokens

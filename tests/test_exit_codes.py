@@ -1,9 +1,12 @@
 """The exit-code contract of the `kgalign` entry point, one row per case:
 0 success, 1 input or configuration error, 2 numerical failure."""
 
+import json
+
 import numpy as np
 import pytest
 
+from kgalign import alignment
 from kgalign.synth import BenchmarkParams, generate_benchmark
 
 from conftest import main_exit_code
@@ -17,10 +20,15 @@ def write_vec(path, tokens, mat):
             fh.write(tok + " " + " ".join(repr(float(x)) for x in row) + "\n")
 
 
-def align_inputs(tmp_path, zero_row=False):
+SEEDS = "e0\te0\ne1\te1\ne2\te2\n"
+
+
+def align_inputs(tmp_path, zero_row=False, edit_src=None, seeds=SEEDS):
     """`kgalign align` arguments for two planted 3-d spaces of 8 entities
     and 4 lexemes, the target a rotation of the source, with 3 seed
-    pairs; `zero_row` zeroes one source entity row."""
+    pairs; `zero_row` zeroes one source entity row, `edit_src` maps the
+    lines of `src.vec` (header first) to the lines written, and `seeds`
+    is the text of the seed file."""
     rng = np.random.default_rng(0)
     tokens = [f"@ent:e{i}" for i in range(8)] + [f"w{i}" for i in range(4)]
     src = rng.standard_normal((len(tokens), 3))
@@ -29,11 +37,54 @@ def align_inputs(tmp_path, zero_row=False):
         src[5] = 0.0
     write_vec(tmp_path / "src.vec", tokens, src)
     write_vec(tmp_path / "tgt.vec", tokens, tgt)
-    (tmp_path / "seeds.tsv").write_text(
-        "".join(f"e{i}\te{i}\n" for i in range(3)), encoding="utf-8")
+    if edit_src is not None:
+        path = tmp_path / "src.vec"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit_src(lines)) + "\n", encoding="utf-8")
+    (tmp_path / "seeds.tsv").write_text(seeds, encoding="utf-8")
     return ["align", "--src-emb", tmp_path / "src", "--tgt-emb",
             tmp_path / "tgt", "--seed-entities", tmp_path / "seeds.tsv",
             "--out", tmp_path / "state.json"]
+
+
+def edit_line(lineno, edit):
+    """An `edit_src` that replaces line `lineno` (1-based) by `edit(line)`."""
+    def apply(lines):
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        return lines
+    return apply
+
+
+def with_lexicon(tmp_path, text):
+    """`align_inputs` with a seed lexicon file holding `text`."""
+    (tmp_path / "lexicon.tsv").write_text(text, encoding="utf-8")
+    return align_inputs(tmp_path) + ["--seed-lexicon", tmp_path / "lexicon.tsv"]
+
+
+def eval_inputs(tmp_path, edit_state):
+    """`kgalign eval` arguments on a saved state of the `align_inputs`
+    spaces with one seed pair and the identity transform, after
+    `edit_state` maps the file's text to the text kept."""
+    align_inputs(tmp_path)
+    state = alignment.AlignmentState(
+        source=alignment.AlignmentSpace.from_file(tmp_path / "src.vec"),
+        target=alignment.AlignmentSpace.from_file(tmp_path / "tgt.vec"),
+        ent_pairs=[("e0", "e0")], transform=np.eye(3))
+    alignment.save_state(state, tmp_path / "saved.json")
+    path = tmp_path / "saved.json"
+    path.write_text(edit_state(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    (tmp_path / "test.tsv").write_text("e3\te3\ne4\te4\n", encoding="utf-8")
+    return ["eval", "--state", path, "--test", tmp_path / "test.tsv"]
+
+
+def edit_json(edit):
+    """An `edit_state` that applies `edit` to the parsed state."""
+    def apply(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+    return apply
 
 
 def run_inputs(tmp_path, config):
@@ -78,6 +129,56 @@ CASES = {
     "run-zero-trained-row": (
         lambda p, mp: run_inputs(p, "dim = 1\nepochs = 1\nmin_freq = 1\n"),
         2, "numerical failure: trained src space has"),
+    "eval-valid": (lambda p, mp: eval_inputs(p, lambda text: text), 0, ""),
+    "eval-state-transform-null": (
+        lambda p, mp: eval_inputs(
+            p, edit_json(lambda d: d.update(transform=None))),
+        1, "saved.json: transform must be a 3x3 matrix, not null"),
+    "eval-state-transform-missing": (
+        lambda p, mp: eval_inputs(p, edit_json(lambda d: d.pop("transform"))),
+        1, "saved.json: transform must be a 3x3 matrix, not null"),
+    "eval-state-transform-2x2": (
+        lambda p, mp: eval_inputs(
+            p, edit_json(lambda d: d.update(transform=[[1, 0], [0, 1]]))),
+        1, "saved.json: transform must be a 3x3 matrix, not [[1, 0]"),
+    "eval-state-truncated": (
+        lambda p, mp: eval_inputs(p, lambda text: text[:len(text) // 2]),
+        1, "saved.json: not a JSON state file"),
+    "eval-state-not-json": (
+        lambda p, mp: eval_inputs(p, lambda text: "h1\t0.5\n"),
+        1, "saved.json: not a JSON state file"),
+    "align-vec-duplicate-token": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            4, lambda line: "@ent:e0 " + line.split(" ", 1)[1])),
+        1, "src.vec: line 4: duplicate token '@ent:e0', first on line 2"),
+    "align-vec-non-numeric": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            3, lambda line: line.rsplit(" ", 1)[0] + " x")),
+        1, "src.vec: line 3: could not convert string to float: 'x'"),
+    "align-vec-non-finite": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            5, lambda line: line.rsplit(" ", 1)[0] + " inf")),
+        1, "src.vec: line 5: non-finite value for '@ent:e3'"),
+    "align-vec-short-row": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            6, lambda line: line.rsplit(" ", 1)[0])),
+        1, "src.vec: line 6: 2 values, the header says 3"),
+    "align-vec-row-count": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            1, lambda line: "13 3")),
+        1, "src.vec: line 14: 12 rows, the header says 13"),
+    "align-seed-unknown-entity": (
+        lambda p, mp: align_inputs(p, seeds=SEEDS + "zz\te5\n"), 1,
+        "seeds.tsv: seed pair zz\te5: source entity 'zz' is unknown"),
+    "align-seed-source-twice": (
+        lambda p, mp: align_inputs(p, seeds=SEEDS + "e0\te5\n"), 1,
+        "seeds.tsv: seed pair e0\te5: source entity 'e0' is used twice"),
+    "align-seed-target-twice": (
+        lambda p, mp: align_inputs(p, seeds=SEEDS + "e5\te1\n"), 1,
+        "seeds.tsv: seed pair e5\te1: target entity 'e1' is used twice"),
+    # lexicon pairs may be many-to-many and name absent items
+    "align-seed-lexicon-many-to-many": (
+        lambda p, mp: with_lexicon(p, "w0\tw0\nw0\tw1\nzz\tw2\n"), 0, ""),
     "run-stop-frac-above-1": (
         lambda p, mp: run_inputs(p, "dim = 4\nepochs = 1\nmin_freq = 1\n")
         + ["--stop-frac", 5], 1, "stop_fraction"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kgalign import pipeline
+from kgalign import embedding, pipeline
 from kgalign.cli import ABLATION_FLAGS, cli
 from kgalign.config import ConfigError, OptimizerConfig, PipelineConfig
 from kgalign.pipeline import (ABLATIONS, ablation_config,
@@ -28,6 +28,12 @@ def bench(tmp_path_factory):
 # `kgalign run` arguments that select each ablation
 RUN_ARGS = {"full": [], "l2_metric": ["--metric", "l2"],
             **{name: [flag] for name, flag in ABLATION_FLAGS.items()}}
+
+
+# the files of one run directory
+ARTIFACTS = ("src.grounded", "tgt.grounded", "src_emb.vec", "src_emb.rel.vec",
+             "tgt_emb.vec", "tgt_emb.rel.vec", "alignment_state.json",
+             "report.tsv")
 
 
 def quick_config(**overrides):
@@ -140,6 +146,10 @@ class TestAblations:
         ({"max_iterations": -1}, "max_iterations"),
         ({"stop_fraction": 0.0}, "stop_fraction"),
         ({"stop_fraction": 5.0}, "stop_fraction"),
+        ({"lexeme_top_f": -1}, "lexeme_top_f"),
+        ({"eval_p": 0}, "eval_p"),
+        ({"csls_k": 0}, "csls_k"),
+        ({"metric": "cosine"}, "metric"),
     ])
     def test_invalid_align_settings_rejected(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -154,6 +164,29 @@ class TestAblations:
         assert lines[0].split() == ["setting", "H@1", "H@p", "MRR"]
         assert len(lines) == 3
         assert lines[1].startswith("full")
+
+    def test_grid_trains_each_optimizer_config_once(self, bench, tmp_path,
+                                                    monkeypatch):
+        trained = []
+        train = embedding.train
+
+        def counting_train(kg, corpus, cfg, seed):
+            trained.append(cfg)
+            return train(kg, corpus, cfg, seed)
+
+        monkeypatch.setattr(embedding, "train", counting_train)
+        names = ["full", "no_gcn", "no_self_learning", "l2_metric"]
+        run_ablation_grid(quick_config(), bench, tmp_path / "grid", seed=0,
+                          names=names)
+        # full, no_self_learning and l2_metric share one pair of spaces
+        assert len(trained) == 4
+        assert [c.gcn_enabled for c in trained] == [True, True, False, False]
+        for name in names:
+            run_pipeline(ablation_config(quick_config(), name), bench,
+                         tmp_path / "alone" / name, seed=0)
+            for artifact in ARTIFACTS:
+                assert ((tmp_path / "grid" / name / artifact).read_bytes()
+                        == (tmp_path / "alone" / name / artifact).read_bytes())
 
 
 class TestCli:
@@ -203,6 +236,27 @@ class TestCli:
             "--test", str(bench.gold_entities), "--candidates", "all"])
         assert res.exit_code == 0, res.output
         assert res.output.startswith("h1\t")
+
+    def test_align_keeps_lexicon_pairs_in_the_spaces(self, bench, tmp_path):
+        result = run_pipeline(quick_config(), bench, tmp_path / "run", seed=0)
+        lines = bench.gold_lexemes.read_text(encoding="utf-8").splitlines()
+        lines += ["zz_absent\tsw0", "sw0\tzz_absent"]
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        res = CliRunner().invoke(cli, [
+            "align", "--src-emb", str(result.src_emb_prefix),
+            "--tgt-emb", str(result.tgt_emb_prefix),
+            "--seed-entities", str(bench.gold_entities),
+            "--seed-lexicon", str(lexicon), "--no-self-learning",
+            "--out", str(tmp_path / "state.json")])
+        assert res.exit_code == 0, res.output
+        state = json.loads((tmp_path / "state.json").read_text())
+        src_items = set(state["source"]["items"])
+        tgt_items = set(state["target"]["items"])
+        pairs = [line.split("\t") for line in lines]
+        kept = [[s, t] for s, t in pairs if s in src_items and t in tgt_items]
+        assert state["lex_pairs"] == kept
+        assert len(kept) < len(pairs)
 
     @pytest.mark.parametrize("triples, corpus", [
         ("new york\tr\tb\n", "new york\n"),
