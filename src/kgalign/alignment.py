@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError, NeighborQuery
-from .embedding import EmbeddingSpace, TrainingDivergence, read_embeddings
+from .embedding import read_embeddings
 from .grounding import ENTITY_PREFIX
 
 
@@ -37,13 +37,12 @@ class AlignmentSpace:
 
     items: tuple[str, ...]
     vectors: np.ndarray              # unit rows
-    entity_mask: np.ndarray | None = None  # bool per item; default: prefix
     index: dict[str, int] = field(default_factory=dict)
+    entity_mask: np.ndarray = field(init=False)  # bool per item
 
     def __post_init__(self):
-        if self.entity_mask is None:
-            self.entity_mask = np.array([t.startswith(ENTITY_PREFIX)
-                                         for t in self.items])
+        self.entity_mask = np.array([t.startswith(ENTITY_PREFIX)
+                                     for t in self.items], dtype=bool)
         if not self.index:
             self.index = {it: i for i, it in enumerate(self.items)}
 
@@ -55,22 +54,6 @@ class AlignmentSpace:
     def from_file(cls, path) -> "AlignmentSpace":
         tokens, mat = read_embeddings(path)
         return cls(items=tuple(tokens), vectors=unit_rows(mat))
-
-    @classmethod
-    def from_space(cls, space: EmbeddingSpace) -> "AlignmentSpace":
-        ent = space.ent_out if space.ent_out is not None else space.ent0
-        items = tuple(ENTITY_PREFIX + e for e in space.entities) + space.lexemes
-        mat = np.vstack([ent, space.lex])
-        zero = np.flatnonzero(~mat.any(axis=1))
-        if len(zero):
-            # training, not the input, produced the row: a numerical failure
-            raise TrainingDivergence(
-                f"trained {space.lang} space has {len(zero)} all-zero "
-                f"row(s), first {items[zero[0]]!r}; they cannot be "
-                "normalized")
-        mask = np.zeros(len(items), dtype=bool)
-        mask[:space.n_entities] = True
-        return cls(items=items, vectors=unit_rows(mat), entity_mask=mask)
 
 
 @dataclass

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import OptimizerConfig
 from .grounding import ENTITY_PREFIX, GroundedCorpus, Token
-from .kg import GraphStructure, KnowledgeGraph, RelationStats, relation_stats
+from .kg import KnowledgeGraph, RelationStats, relation_stats
 
 EPS = 1e-12
 
@@ -53,7 +54,6 @@ class EmbeddingSpace:
     entities: tuple[str, ...]
     relations: tuple[str, ...]
     lexemes: tuple[str, ...]
-    lexeme_freqs: tuple[int, ...]
     ent0: np.ndarray
     rel: np.ndarray
     lex: np.ndarray
@@ -104,7 +104,6 @@ def init_space(kg: KnowledgeGraph, corpus: GroundedCorpus,
     items = list(corpus.lexicon.items())
     order = sorted(range(len(items)), key=lambda i: (-items[i][1], i))
     lexemes = tuple(items[i][0] for i in order)
-    freqs = tuple(items[i][1] for i in order)
     ent0 = xavier_uniform(rng, kg.n_entities, k)
     rel = xavier_uniform(rng, kg.n_relations, k)
     lex = xavier_uniform(rng, len(lexemes), k)
@@ -112,32 +111,32 @@ def init_space(kg: KnowledgeGraph, corpus: GroundedCorpus,
     gcn = [xavier_uniform(rng, k, k) for _ in range(n_layers)]
     return EmbeddingSpace(
         lang=kg.lang, dim=k, entities=kg.entities, relations=kg.relations,
-        lexemes=lexemes, lexeme_freqs=freqs, ent0=ent0, rel=rel, lex=lex,
+        lexemes=lexemes, ent0=ent0, rel=rel, lex=lex,
         gcn_weights=gcn, activation=cfg.activation)
 
 
 # ---------------------------------------------------------------------------
 # GCN forward/backward
 
-def _gcn_forward_cached(space: EmbeddingSpace, graph: GraphStructure):
+def _gcn_forward_cached(space: EmbeddingSpace, adjacency: sp.csr_matrix):
     """Returns (entity output, cache for backward)."""
     act, _ = _ACT[space.activation]
     e = space.ent0
     cache = []
     for w in space.gcn_weights:
-        agg = graph.norm_adjacency @ e
+        agg = adjacency @ e
         z = agg @ w
         cache.append((agg, z))
         e = act(z)
     return e, cache
 
 
-def gcn_forward(space: EmbeddingSpace, graph: GraphStructure) -> np.ndarray:
+def gcn_forward(space: EmbeddingSpace, adjacency: sp.csr_matrix) -> np.ndarray:
     """n-layer propagation E^(l) = phi(N E^(l-1) M^(l-1)); returns E^(n)."""
-    return _gcn_forward_cached(space, graph)[0]
+    return _gcn_forward_cached(space, adjacency)[0]
 
 
-def _gcn_backward(space: EmbeddingSpace, graph: GraphStructure, cache,
+def _gcn_backward(space: EmbeddingSpace, adjacency: sp.csr_matrix, cache,
                   d_out: np.ndarray):
     """Backprop d_out through the cached forward; returns (d_ent0, d_weights)."""
     _, dact = _ACT[space.activation]
@@ -148,15 +147,15 @@ def _gcn_backward(space: EmbeddingSpace, graph: GraphStructure, cache,
         dz = de * dact(z)
         d_weights[layer] = agg.T @ dz
         # norm adjacency is symmetric, so its transpose is itself
-        de = graph.norm_adjacency @ (dz @ space.gcn_weights[layer].T)
+        de = adjacency @ (dz @ space.gcn_weights[layer].T)
     return de, d_weights
 
 
-def _entity_grads(space: EmbeddingSpace, graph: GraphStructure | None, cache,
-                  d_ent: np.ndarray) -> dict[str, np.ndarray]:
+def _entity_grads(space: EmbeddingSpace, adjacency: sp.csr_matrix | None,
+                  cache, d_ent: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of `ent0` and the GCN weights from that of the entity
     output; without GCN layers the output is `ent0` itself."""
-    d_ent0, d_weights = _gcn_backward(space, graph, cache, d_ent)
+    d_ent0, d_weights = _gcn_backward(space, adjacency, cache, d_ent)
     return {"ent0": d_ent0,
             **{f"gcn_{i}": dw for i, dw in enumerate(d_weights)}}
 
@@ -190,33 +189,24 @@ def _scatter_rows(indices, rows, n_rows: int) -> np.ndarray:
                        minlength=n_rows * k).reshape(n_rows, k)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _sampled_softmax_l2(diff_pos: np.ndarray, diff_neg: np.ndarray,
+                        bias: float):
+    """Sampled softmax over negative L2 distance and its gradients.
 
-
-def kg_loss(batch: KGBatch, space: EmbeddingSpace,
-            graph: GraphStructure | None, bias: float):
-    """Sampled-softmax translational loss and analytic gradients.
-
-    Per positive triple: -log softmax of (b - f) over the positive and its
-    negatives, averaged over the batch.  The positive term is included in
-    the denominator so the loss is bounded and strictly positive.
+    Per row: -log softmax of (b - ||d||) over the positive difference
+    `diff_pos[i]` (B, k) and its negatives `diff_neg[i]` (B, m, k),
+    averaged over the batch.  The positive term is included in the
+    denominator so the loss is bounded and strictly positive.  Returns
+    (loss, dL/d diff_pos, dL/d diff_neg).
     """
-    ent, cache = _gcn_forward_cached(space, graph)
-
-    h, r, t = batch.positives[:, 0], batch.positives[:, 1], batch.positives[:, 2]
-    bsz, m = batch.neg_heads.shape
-
-    diff_pos = ent[h] + space.rel[r] - ent[t]               # (B, k)
+    bsz = len(diff_pos)
     f_pos = np.linalg.norm(diff_pos, axis=1)
-    diff_neg = (ent[batch.neg_heads] + space.rel[r][:, None, :]
-                - ent[batch.neg_tails])                      # (B, m, k)
     f_neg = np.linalg.norm(diff_neg, axis=2)
 
     logits = bias - np.concatenate([f_pos[:, None], f_neg], axis=1)
-    probs = _softmax_rows(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
     loss = float(-np.mean(np.log(probs[:, 0] + EPS)))
 
     # dL/df_j = (1[j=0] - p_j) / B
@@ -225,54 +215,43 @@ def kg_loss(batch: KGBatch, space: EmbeddingSpace,
 
     u_pos = diff_pos / np.maximum(f_pos, EPS)[:, None]
     u_neg = diff_neg / np.maximum(f_neg, EPS)[:, :, None]
+    return loss, coef[:, 0:1] * u_pos, coef[:, 1:, None] * u_neg
 
-    g_pos = coef[:, 0:1] * u_pos
-    g_neg = coef[:, 1:, None] * u_neg
+
+def kg_loss(batch: KGBatch, space: EmbeddingSpace,
+            adjacency: sp.csr_matrix | None, bias: float):
+    """Translational sampled-softmax loss and analytic gradients: the
+    distance of a triple (h, r, t) is ||h + r - t||."""
+    ent, cache = _gcn_forward_cached(space, adjacency)
+    h, r, t = batch.positives[:, 0], batch.positives[:, 1], batch.positives[:, 2]
+    diff_pos = ent[h] + space.rel[r] - ent[t]               # (B, k)
+    diff_neg = (ent[batch.neg_heads] + space.rel[r][:, None, :]
+                - ent[batch.neg_tails])                      # (B, m, k)
+    loss, g_pos, g_neg = _sampled_softmax_l2(diff_pos, diff_neg, bias)
+
     g_neg_rows = g_neg.reshape(-1, space.dim)
     d_ent = _scatter_rows(
         (h, t, batch.neg_heads.ravel(), batch.neg_tails.ravel()),
         (g_pos, -g_pos, g_neg_rows, -g_neg_rows), len(ent))
     d_rel = _scatter_rows((r, r), (g_pos, g_neg.sum(axis=1)),
                           len(space.rel))
-
-    return loss, {"rel": d_rel, **_entity_grads(space, graph, cache, d_ent)}
+    return loss, {"rel": d_rel, **_entity_grads(space, adjacency, cache, d_ent)}
 
 
 def text_loss(batch: TextBatch, space: EmbeddingSpace,
-              graph: GraphStructure | None):
-    """Skip-gram sampled softmax over negative L2 distance.
-
-    The logit for a (center, candidate) pair is -||v_center - v_cand||, so
-    co-occurring tokens are pulled together.  Entity tokens resolve to GCN
-    outputs; gradients on them flow back into the base table and weights.
+              adjacency: sp.csr_matrix | None):
+    """Skip-gram sampled softmax with no bias: the distance of a (center,
+    candidate) pair is ||v_center - v_cand||, so co-occurring tokens are
+    pulled together.  Entity tokens resolve to GCN outputs; gradients on
+    them flow back into the base table and weights.
     """
-    ent, cache = _gcn_forward_cached(space, graph)
+    ent, cache = _gcn_forward_cached(space, adjacency)
     n_ent = space.n_entities
     tokens = np.concatenate([ent, space.lex])  # rows by unified index
-
     vx = tokens[batch.centers]                 # (B, k)
-    vc = tokens[batch.contexts]                # (B, k)
-    vn = tokens[batch.negatives]               # (B, m, k)
-    bsz = len(batch.centers)
-
-    diff_pos = vx - vc
-    d_pos = np.linalg.norm(diff_pos, axis=1)
-    diff_neg = vx[:, None, :] - vn
-    d_neg = np.linalg.norm(diff_neg, axis=2)
-
-    logits = -np.concatenate([d_pos[:, None], d_neg], axis=1)
-    probs = _softmax_rows(logits)
-    loss = float(-np.mean(np.log(probs[:, 0] + EPS)))
-
-    # dL/dd_j = (1[j=0] - p_j) / B
-    coef = -probs / bsz
-    coef[:, 0] += 1.0 / bsz
-
-    u_pos = diff_pos / np.maximum(d_pos, EPS)[:, None]
-    u_neg = diff_neg / np.maximum(d_neg, EPS)[:, :, None]
-
-    g_pos = coef[:, 0:1] * u_pos               # d/dvx from positive term
-    g_neg = coef[:, 1:, None] * u_neg
+    loss, g_pos, g_neg = _sampled_softmax_l2(
+        vx - tokens[batch.contexts], vx[:, None, :] - tokens[batch.negatives],
+        0.0)
 
     # one scatter over the unified index, split into entities and lexemes
     d_tok = _scatter_rows(
@@ -280,8 +259,7 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
         (g_pos + g_neg.sum(axis=1), -g_pos, (-g_neg).reshape(-1, space.dim)),
         space.n_tokens)
     d_ent, d_lex = d_tok[:n_ent], d_tok[n_ent:]
-
-    return loss, {"lex": d_lex, **_entity_grads(space, graph, cache, d_ent)}
+    return loss, {"lex": d_lex, **_entity_grads(space, adjacency, cache, d_ent)}
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +450,7 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
 
     rng = np.random.default_rng(seed)
     space = init_space(kg, corpus, cfg, rng)
-    graph = build_graph_structure(kg) if cfg.gcn_enabled else None
+    adjacency = build_graph_structure(kg) if cfg.gcn_enabled else None
     stats = relation_stats(kg)
     observed = ObservedTriples.of(kg)
     triples = np.array(kg.triples, dtype=np.int64)
@@ -500,6 +478,11 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
         negs = rng.integers(space.n_tokens, size=(len(sel), cfg.neg_samples))
         return TextBatch(centers=sel[:, 0], contexts=sel[:, 1], negatives=negs)
 
+    # Each step's `grads` stays bound until the next step's are computed,
+    # so a step allocates its gradient tables before the last ones are
+    # freed.  Freeing them first gives the same numbers but, through
+    # glibc's trimming of the heap top, made training on the default
+    # benchmark about twice as slow.
     for _ in range(cfg.epochs):
         kg_losses, text_losses = [], []
         order = rng.permutation(len(triples)) if use_kg else None
@@ -509,7 +492,7 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
                                     (b + 1) * cfg.batch_size]]
                 batch = _kg_batch(sel, stats, observed, cfg.neg_samples,
                                   rng)
-                loss, grads = kg_loss(batch, space, graph, cfg.bias_b)
+                loss, grads = kg_loss(batch, space, adjacency, cfg.bias_b)
                 if not np.isfinite(loss):
                     raise TrainingDivergence(
                         f"non-finite KG loss at epoch {len(history.epoch_kg_loss)}")
@@ -518,7 +501,7 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
                 kg_losses.append(loss)
             if use_text:
                 batch = next_text_batch()
-                loss, grads = text_loss(batch, space, graph)
+                loss, grads = text_loss(batch, space, adjacency)
                 if not np.isfinite(loss):
                     raise TrainingDivergence(
                         f"non-finite text loss at epoch {len(history.epoch_text_loss)}")
@@ -530,9 +513,19 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
         if text_losses:
             history.epoch_text_loss.append(float(np.mean(text_losses)))
 
+    space.ent_out = gcn_forward(space, adjacency)
+    # alignment normalizes every output row: a zero row is as unusable as
+    # a non-finite one, and training, not the input, produced it
+    rows = np.vstack([space.ent_out, space.lex])
+    bad = np.flatnonzero(~(rows.any(axis=1) & np.isfinite(rows).all(axis=1)))
+    if len(bad):
+        items = [ENTITY_PREFIX + e for e in space.entities] + list(space.lexemes)
+        raise TrainingDivergence(
+            f"trained {space.lang} space has {len(bad)} all-zero or "
+            f"non-finite row(s), first {items[bad[0]]!r}; they cannot be "
+            "normalized")
     if not space.all_finite():
         raise TrainingDivergence("non-finite parameters after training")
-    space.ent_out = gcn_forward(space, graph)
     return space, history
 
 
@@ -565,7 +558,8 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
     non-finite value raise a ValueError with the file and line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or not all(h.isdigit() for h in header):
+        if len(header) != 2 or not all(h.isascii() and h.isdigit()
+                                       for h in header):
             raise ValueError(f"{path}: line 1: expected a `<count> <dim>` "
                              "header")
         count, dim = int(header[0]), int(header[1])

@@ -132,7 +132,6 @@ class GroundedCorpus:
 class GroundingStats:
     coverage: float
     avg_match: float
-    n_mentions: int
 
 
 def build_index(forms_path, kg: KnowledgeGraph,
@@ -192,8 +191,7 @@ def grounding_stats(corpus: GroundedCorpus,
     coverage = len(covered) / kg.n_entities if kg.n_entities else 0.0
     avg = (sum(mentions[e] for e in covered) / len(covered)
            if covered else 0.0)
-    return GroundingStats(coverage=coverage, avg_match=avg,
-                          n_mentions=sum(mentions.values()))
+    return GroundingStats(coverage=coverage, avg_match=avg)
 
 
 def ground_corpus(corpus_path, index: SurfaceFormIndex, kg: KnowledgeGraph,
@@ -220,30 +218,27 @@ def load_pregrounded(corpus_path, kg: KnowledgeGraph,
                      min_freq: int = 5) -> GroundedCorpus:
     """Read an externally grounded corpus (`@ent:<id>` entity markers).
 
-    Markers with unknown ids are demoted to plain lexemes, with a count
-    kept on the returned corpus' `demoted` attribute.
+    A marker with no id or with an id not in the KG raises a ValueError
+    with the file and line, so no lexeme starts with the marker.
     """
     docs: list[list[Token]] = []
-    demoted = 0
     with open(corpus_path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             doc: list[Token] = []
             for raw in line.split():
-                if raw.startswith(ENTITY_PREFIX):
-                    ent = raw[len(ENTITY_PREFIX):]
-                    if not ent:
-                        raise ValueError(f"malformed entity marker: {raw!r}")
-                    if ent in kg.ent_index:
-                        doc.append(entity_token(ent, (raw,)))
-                    else:
-                        demoted += 1
-                        doc.append(lexeme(raw))
-                else:
+                if not raw.startswith(ENTITY_PREFIX):
                     doc.append(lexeme(raw))
+                    continue
+                ent = raw[len(ENTITY_PREFIX):]
+                if ent not in kg.ent_index:
+                    problem = ("has no entity id" if not ent else
+                               "names an entity the KG does not have")
+                    raise ValueError(f"{corpus_path}: line {lineno}: "
+                                     f"malformed entity marker {raw!r}: "
+                                     f"it {problem}")
+                doc.append(entity_token(ent, (raw,)))
             docs.append(doc)
-    corpus = GroundedCorpus(lang=kg.lang, documents=docs, min_freq=min_freq)
-    corpus.demoted = demoted
-    return corpus
+    return GroundedCorpus(lang=kg.lang, documents=docs, min_freq=min_freq)
 
 
 def write_grounded(corpus: GroundedCorpus, path) -> None:

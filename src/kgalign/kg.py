@@ -52,17 +52,6 @@ class KnowledgeGraph:
         return set(self.triples)
 
 
-@dataclass(frozen=True)
-class GraphStructure:
-    """Normalized self-looped symmetric adjacency, the GCN's operator.
-
-    norm_adjacency = D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of
-    A + I itself, so every entry is finite even for isolated entities.
-    """
-
-    norm_adjacency: sp.csr_matrix
-
-
 def from_string_triples(string_triples, lang: str,
                         duplicate_count: int = 0) -> KnowledgeGraph:
     """Build a KnowledgeGraph from (head, relation, tail) id strings.
@@ -120,8 +109,11 @@ def load_kg(path, lang: str) -> KnowledgeGraph:
     return from_string_triples(raw, lang)
 
 
-def build_graph_structure(kg: KnowledgeGraph) -> GraphStructure:
-    """Symmetric 0/1 adjacency over entities, relation types discarded."""
+def build_graph_structure(kg: KnowledgeGraph) -> sp.csr_matrix:
+    """The GCN's operator: the normalized self-looped adjacency
+    D^{-1/2} (A + I) D^{-1/2}, with A the symmetric 0/1 adjacency over
+    entities (relation types discarded) and D the degree matrix of A + I,
+    so every entry is finite even for isolated entities."""
     n = kg.n_entities
     rows, cols = [], []
     for h, _, t in kg.triples:
@@ -138,8 +130,7 @@ def build_graph_structure(kg: KnowledgeGraph) -> GraphStructure:
     degrees = np.asarray(looped.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)
     d_half = sp.diags(inv_sqrt)
-    norm = (d_half @ looped @ d_half).tocsr()
-    return GraphStructure(norm_adjacency=norm)
+    return (d_half @ looped @ d_half).tocsr()
 
 
 @dataclass(frozen=True)

@@ -135,17 +135,18 @@ def evaluate_stage(cfg: PipelineConfig, test_pairs, state: AlignmentState,
 
 def _align_and_evaluate(cfg, paths, grounded, spaces, out: Path, seed: int,
                         log) -> PipelineResult:
-    """Write the grounded corpora and the spaces to `out`, then align on
-    the seed split of the gold pairs and evaluate on the rest."""
+    """Write the grounded corpora and the spaces to `out`, then align the
+    `.vec` files written, as `kgalign align` does, on the seed split of
+    the gold pairs, and evaluate on the rest."""
     out.mkdir(parents=True, exist_ok=True)
     for side, (_, corpus), space in zip(("src", "tgt"), grounded, spaces):
         grounding.write_grounded(corpus, out / f"{side}.grounded")
         embedding.write_embeddings(space, out / f"{side}_emb")
     gold = alignment.load_seed_pairs(paths.gold_entities)
     seed_pairs, test_pairs = split_gold(gold, cfg.seed_fraction, seed)
-    state = align_stage(cfg, AlignmentSpace.from_space(spaces[0]),
-                        AlignmentSpace.from_space(spaces[1]), seed_pairs,
-                        paths.gold_entities, paths.gold_lexemes,
+    state = align_stage(cfg, AlignmentSpace.from_file(out / "src_emb.vec"),
+                        AlignmentSpace.from_file(out / "tgt_emb.vec"),
+                        seed_pairs, paths.gold_entities, paths.gold_lexemes,
                         out / "alignment_state.json", log)
     report = evaluate_stage(cfg, test_pairs, state, out / "report.tsv", log)
     return PipelineResult(report=report,

@@ -153,9 +153,7 @@ def _space_from(entity_vecs, lexeme_vecs=None):
         items += [f"w{i}" for i in range(len(lexeme_vecs))]
         vecs += list(lexeme_vecs)
     mat = unit_rows(np.array(vecs, dtype=float))
-    mask = np.array([it.startswith("@ent:") for it in items])
-    return alignment.AlignmentSpace(items=tuple(items), vectors=mat,
-                                    entity_mask=mask)
+    return alignment.AlignmentSpace(items=tuple(items), vectors=mat)
 
 
 # ---------------------------------------------------------------------------

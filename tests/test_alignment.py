@@ -6,7 +6,7 @@ from kgalign.alignment import (AlignmentSpace, AlignmentState, cosine_matrix,
                                procrustes_solve, propose_pairs, save_state,
                                self_learn, solve_once, unit_rows)
 from kgalign.config import ConfigError, NeighborQuery, OptimizerConfig
-from kgalign.embedding import TrainingDivergence, init_space
+from kgalign.embedding import TrainingDivergence, init_space, write_embeddings
 
 from conftest import make_corpus, random_kg
 from oracles import brute_csls, brute_mutual_nn, brute_rank, random_orthogonal
@@ -19,25 +19,10 @@ def space_from(entity_vecs, lexeme_vecs=None, prefix="e", lex_prefix="w"):
         items += [f"{lex_prefix}{i}" for i in range(len(lexeme_vecs))]
         vecs += list(lexeme_vecs)
     mat = unit_rows(np.array(vecs, dtype=float))
-    mask = np.array([it.startswith("@ent:") for it in items])
-    return AlignmentSpace(items=tuple(items), vectors=mat, entity_mask=mask)
+    return AlignmentSpace(items=tuple(items), vectors=mat)
 
 
 class TestAlignmentSpace:
-    def trained_space(self):
-        rng = np.random.default_rng(17)
-        kg = random_kg(rng, n_entities=4, n_triples=4)
-        space = init_space(kg, make_corpus([["w", "v"]]),
-                           OptimizerConfig(dim=3, min_freq=1), rng)
-        space.ent_out = space.ent0.copy()
-        return space
-
-    def test_zero_trained_row_is_numerical_failure(self):
-        space = self.trained_space()
-        space.ent_out[2] = 0.0
-        with pytest.raises(TrainingDivergence, match="@ent:e2"):
-            AlignmentSpace.from_space(space)
-
     def test_zero_row_in_file_is_input_error(self, tmp_path):
         (tmp_path / "x.vec").write_text("2 2\n@ent:a 1.0 0.0\nw 0.0 0.0\n",
                                         encoding="utf-8")
@@ -45,11 +30,18 @@ class TestAlignmentSpace:
             AlignmentSpace.from_file(tmp_path / "x.vec")
         assert not isinstance(info.value, TrainingDivergence)
 
-    def test_from_space_unit_rows(self):
-        aligned = AlignmentSpace.from_space(self.trained_space())
+    def test_from_file_unit_rows(self, tmp_path):
+        rng = np.random.default_rng(17)
+        kg = random_kg(rng, n_entities=4, n_triples=4)
+        space = init_space(kg, make_corpus([["w", "v"]]),
+                           OptimizerConfig(dim=3, min_freq=1), rng)
+        space.ent_out = space.ent0.copy()
+        write_embeddings(space, tmp_path / "emb")
+        aligned = AlignmentSpace.from_file(tmp_path / "emb.vec")
         np.testing.assert_allclose(
             np.linalg.norm(aligned.vectors, axis=1), 1.0)
         assert aligned.n_entities == 4
+        assert aligned.entity_mask.tolist() == [True] * 4 + [False] * 2
 
 
 class TestProcrustes:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign.embedding import (AMSGrad, KGBatch, ObservedTriples, TextBatch,
-                               _gcn_backward, _gcn_forward_cached, _kg_batch,
-                               _pair_array, gcn_forward, init_space, kg_loss,
+                               TrainingDivergence, _gcn_backward,
+                               _gcn_forward_cached, _kg_batch, _pair_array,
+                               gcn_forward, init_space, kg_loss,
                                read_embeddings, text_loss, train,
                                write_embeddings)
 from kgalign.kg import (KnowledgeGraph, build_graph_structure,
@@ -422,6 +423,32 @@ class TestTrain:
         corpus = random_corpus(rng, kg)
         space, _ = train(kg, corpus, small_config(epochs=5), seed=0)
         assert space.all_finite()
+
+    def test_zero_output_row_is_numerical_failure(self):
+        # a one-dimensional ReLU GCN zeroes the rows of negative
+        # pre-activation, and a zero row cannot be normalized
+        rng = np.random.default_rng(0)
+        kg = random_kg(rng, n_entities=8, n_triples=14)
+        corpus = random_corpus(rng, kg)
+        cfg = small_config(dim=1, activation="relu", epochs=1)
+        with pytest.raises(TrainingDivergence,
+                           match="trained xx space has 3 all-zero or "
+                           "non-finite row.s., first '@ent:e1'"):
+            train(kg, corpus, cfg, seed=0)
+
+    def test_non_finite_output_row_is_numerical_failure(self):
+        # one KG step whose learning rate overflows the touched entity
+        # rows; the loss is computed before the step, so it stays finite
+        rng = np.random.default_rng(0)
+        kg = random_kg(rng, n_entities=8, n_triples=14)
+        corpus = random_corpus(rng, kg)
+        cfg = small_config(gcn_enabled=False, use_text_loss=False, epochs=1,
+                           batch_size=len(kg.triples), lr=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergence,
+                              match="trained xx space has 8 all-zero or "
+                              "non-finite row.s., first '@ent:e0'"):
+            train(kg, corpus, cfg, seed=0)
 
     def test_train_cli_single_entity_kg_exits_1(self, tmp_path,
                                                 monkeypatch):

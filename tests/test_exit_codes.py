@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from kgalign import alignment
-from kgalign.synth import BenchmarkParams, generate_benchmark
+from kgalign import alignment, grounding, kg
+from kgalign.synth import BenchmarkParams, BenchmarkPaths, generate_benchmark
 
 from conftest import main_exit_code
 from oracles import random_orthogonal
@@ -98,6 +98,30 @@ def run_inputs(tmp_path, config):
             "--config", tmp_path / "cfg"]
 
 
+def train_inputs(tmp_path, config):
+    """`kgalign train` arguments on the source side of the `run_inputs`
+    benchmark, grounded with `min_freq` 1, with `config`."""
+    run_inputs(tmp_path, config)
+    paths = BenchmarkPaths.in_dir(tmp_path / "bench")
+    graph = kg.load_kg(paths.src_triples, "xx")
+    corpus, _ = grounding.ground_corpus(
+        paths.src_corpus, grounding.build_index(paths.src_forms, graph),
+        graph, min_freq=1)
+    grounding.write_grounded(corpus, tmp_path / "src.grounded")
+    return ["train", "--kg", paths.src_triples, "--grounded",
+            tmp_path / "src.grounded", "--config", tmp_path / "cfg",
+            "--out", tmp_path / "emb"]
+
+
+def pregrounded_inputs(tmp_path, text):
+    """`kgalign train` arguments on the KG `a r b`, `b r c` and a
+    pre-grounded corpus holding `text`."""
+    (tmp_path / "kg.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+    (tmp_path / "g.grounded").write_text(text, encoding="utf-8")
+    return ["train", "--kg", tmp_path / "kg.tsv", "--grounded",
+            tmp_path / "g.grounded", "--out", tmp_path / "emb"]
+
+
 def align_with_failing_svd(tmp_path, monkeypatch):
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -129,6 +153,18 @@ CASES = {
     "run-zero-trained-row": (
         lambda p, mp: run_inputs(p, "dim = 1\nepochs = 1\nmin_freq = 1\n"),
         2, "numerical failure: trained src space has"),
+    "train-zero-trained-row": (
+        lambda p, mp: train_inputs(p, "dim = 1\nepochs = 1\nmin_freq = 1\n"),
+        2, "numerical failure: trained xx space has"),
+    # read as a lexeme, the marker would come back as a fourth entity
+    "train-grounded-unknown-entity": (
+        lambda p, mp: pregrounded_inputs(p, "@ent:zz w @ent:a x\n"), 1,
+        "g.grounded: line 1: malformed entity marker '@ent:zz': it names "
+        "an entity the KG does not have"),
+    "train-grounded-empty-marker": (
+        lambda p, mp: pregrounded_inputs(p, "@ent:a w\nx @ent: y\n"), 1,
+        "g.grounded: line 2: malformed entity marker '@ent:': it has no "
+        "entity id"),
     "eval-valid": (lambda p, mp: eval_inputs(p, lambda text: text), 0, ""),
     "eval-state-transform-null": (
         lambda p, mp: eval_inputs(
@@ -194,3 +230,5 @@ def test_exit_code(tmp_path, monkeypatch, capsys, build, code, message):
     if args[0] == "align":
         # a failed alignment leaves no state file behind
         assert (tmp_path / "state.json").exists() == (code == 0)
+    if args[0] == "train":
+        assert (tmp_path / "emb.vec").exists() == (code == 0)

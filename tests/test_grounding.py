@@ -149,14 +149,14 @@ class TestPregrounded:
         assert corpus.documents[0][0].is_entity
         assert corpus.documents[0][0].entity == "a"
 
-    def test_unknown_marker_demoted(self, tmp_path, tiny_kg):
+    def test_unknown_marker_rejected(self, tmp_path, tiny_kg):
+        # read as a lexeme, the marker would come back from the .vec file
+        # as an entity
         path = tmp_path / "g.txt"
-        path.write_text("@ent:unknown x\n", encoding="utf-8")
-        corpus = load_pregrounded(path, tiny_kg)
-        tok = corpus.documents[0][0]
-        assert not tok.is_entity
-        assert tok.text == "@ent:unknown"
-        assert corpus.demoted == 1
+        path.write_text("@ent:a x\ny @ent:unknown x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="g.txt: line 2: malformed "
+                           "entity marker '@ent:unknown'"):
+            load_pregrounded(path, tiny_kg)
 
     def test_empty_line_keeps_empty_document(self, tmp_path, tiny_kg):
         path = tmp_path / "g.txt"

@@ -56,32 +56,32 @@ class TestGraphStructure:
         kg = from_string_triples([("a", "r", "b")], "xx")
         gs = build_graph_structure(kg)
         expected = np.array([[0.5, 0.5], [0.5, 0.5]])
-        np.testing.assert_allclose(gs.norm_adjacency.toarray(), expected)
+        np.testing.assert_allclose(gs.toarray(), expected)
         np.testing.assert_allclose(brute_norm_adjacency(kg), expected)
 
     def test_isolated_entity_self_loop(self):
         kg = from_string_triples([("a", "r", "a")], "xx")
         gs = build_graph_structure(kg)
-        np.testing.assert_allclose(gs.norm_adjacency.toarray(), [[1.0]])
+        np.testing.assert_allclose(gs.toarray(), [[1.0]])
 
     def test_multi_relation_entry_still_one(self):
         kg = from_string_triples(
             [("a", "r", "b"), ("a", "s", "b"), ("b", "r", "a")], "xx")
         gs = build_graph_structure(kg)
         # three triples between a and b still make one edge of weight 1
-        np.testing.assert_allclose(gs.norm_adjacency.toarray(),
+        np.testing.assert_allclose(gs.toarray(),
                                    [[0.5, 0.5], [0.5, 0.5]])
-        np.testing.assert_allclose(gs.norm_adjacency.toarray(),
+        np.testing.assert_allclose(gs.toarray(),
                                    brute_norm_adjacency(kg))
 
     def test_symmetry(self, tiny_kg):
         gs = build_graph_structure(tiny_kg)
-        dense = gs.norm_adjacency.toarray()
+        dense = gs.toarray()
         np.testing.assert_allclose(dense, dense.T)
 
     def test_entries_match_degree_formula(self, tiny_kg):
         gs = build_graph_structure(tiny_kg)
-        np.testing.assert_allclose(gs.norm_adjacency.toarray(),
+        np.testing.assert_allclose(gs.toarray(),
                                    brute_norm_adjacency(tiny_kg))
 
     def test_order_independence_up_to_permutation(self):
@@ -89,10 +89,10 @@ class TestGraphStructure:
         triples = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"),
                    ("d", "r", "a"), ("a", "s", "c")]
         base = build_graph_structure(
-            from_string_triples(triples, "xx")).norm_adjacency.toarray()
+            from_string_triples(triples, "xx")).toarray()
         shuffled = [triples[i] for i in rng.permutation(len(triples))]
         kg2 = from_string_triples(shuffled, "xx")
-        other = build_graph_structure(kg2).norm_adjacency.toarray()
+        other = build_graph_structure(kg2).toarray()
         base_kg = from_string_triples(triples, "xx")
         perm = [kg2.ent_index[e] for e in base_kg.entities]
         np.testing.assert_allclose(base, other[np.ix_(perm, perm)])
@@ -104,7 +104,7 @@ class TestGraphStructure:
                    ("c", "r", "d"), ("d", "r", "a")]
         gs = build_graph_structure(from_string_triples(triples, "xx"))
         ones = np.ones(4)
-        np.testing.assert_allclose(gs.norm_adjacency @ ones, ones)
+        np.testing.assert_allclose(gs @ ones, ones)
 
 
 class TestRelationStats:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kgalign import embedding, pipeline
+from kgalign import alignment, embedding, pipeline
 from kgalign.cli import ABLATION_FLAGS, cli
 from kgalign.config import ConfigError, OptimizerConfig, PipelineConfig
 from kgalign.pipeline import (ABLATIONS, ablation_config,
@@ -236,6 +236,39 @@ class TestCli:
             "--test", str(bench.gold_entities), "--candidates", "all"])
         assert res.exit_code == 0, res.output
         assert res.output.startswith("h1\t")
+
+    def test_staged_align_and_eval_reproduce_run(self, bench, tmp_path):
+        """`align` and `eval` on a `run` directory's own `.vec` files and
+        gold split give that run's state and report, byte for byte."""
+        run_dir = tmp_path / "run"
+        cfg_file = tmp_path / "quick.cfg"
+        cfg_file.write_text("dim = 8\nepochs = 40\nbatch_size = 32\n"
+                            "min_freq = 1\n")
+        runner = CliRunner()
+        res = runner.invoke(cli, [
+            "run", "--bench", str(bench.gold_entities.parent),
+            "--out", str(run_dir), "--config", str(cfg_file), "--seed", "2"])
+        assert res.exit_code == 0, res.output
+        seeds, tests = split_gold(
+            alignment.load_seed_pairs(bench.gold_entities),
+            PipelineConfig().seed_fraction, seed=2)
+        for name, pairs in (("seeds.tsv", seeds), ("test.tsv", tests)):
+            (tmp_path / name).write_text(
+                "".join(f"{s}\t{t}\n" for s, t in pairs), encoding="utf-8")
+        res = runner.invoke(cli, [
+            "align", "--src-emb", str(run_dir / "src_emb"),
+            "--tgt-emb", str(run_dir / "tgt_emb"),
+            "--seed-entities", str(tmp_path / "seeds.tsv"),
+            "--out", str(tmp_path / "alignment_state.json")])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli, [
+            "eval", "--state", str(tmp_path / "alignment_state.json"),
+            "--test", str(tmp_path / "test.tsv"),
+            "--out", str(tmp_path / "report.tsv")])
+        assert res.exit_code == 0, res.output
+        for name in ("alignment_state.json", "report.tsv"):
+            assert (tmp_path / name).read_bytes() == \
+                (run_dir / name).read_bytes(), name
 
     def test_align_keeps_lexicon_pairs_in_the_spaces(self, bench, tmp_path):
         result = run_pipeline(quick_config(), bench, tmp_path / "run", seed=0)
