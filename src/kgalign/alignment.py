@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, NeighborQuery
+from .config import ConfigError, NeighborQuery, open_text
 from .embedding import read_embeddings
 from .grounding import ENTITY_PREFIX
 
@@ -285,17 +285,17 @@ def save_state(state: AlignmentState, path) -> None:
         "lexeme_top_f": state.lexeme_top_f,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def load_state(path) -> AlignmentState:
     """The state saved by `save_state`; a malformed file raises a
     ValueError that names it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
+        try:
             data = json.load(fh)
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a JSON state file: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON state file: {exc}") from None
     try:
         state = AlignmentState(
             source=AlignmentSpace(tuple(data["source"]["items"]),
@@ -320,7 +320,7 @@ def load_state(path) -> AlignmentState:
 
 def load_seed_pairs(path) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -117,13 +117,11 @@ def synth_cmd(out_dir, seed, **params):
 @click.option("--out", required=True, type=click.Path())
 @click.option("--lang", default="xx", show_default=True)
 @click.option("--no-case-fold", is_flag=True)
-@click.option("--min-freq", default=5, show_default=True)
-def ground_cmd(kg_path, forms, corpus, out, lang, no_case_fold, min_freq):
+def ground_cmd(kg_path, forms, corpus, out, lang, no_case_fold):
     """Ground a corpus against KG surface forms."""
     graph = kg.load_kg(kg_path, lang)
     index = grounding.build_index(forms, graph, case_fold=not no_case_fold)
-    grounded, stats = grounding.ground_corpus(corpus, index, graph,
-                                              min_freq=min_freq)
+    grounded, stats = grounding.ground_corpus(corpus, index, graph)
     grounding.write_grounded(grounded, out)
     click.echo(f"coverage\t{stats.coverage:.4f}")
     click.echo(f"avg_match\t{stats.avg_match:.4f}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import math
 from dataclasses import dataclass, field, fields, replace
 
 ACTIVATIONS = ("relu", "identity", "tanh")
@@ -34,19 +36,21 @@ class OptimizerConfig:
     beta2: float = 0.999
     epochs: int = 100
     min_freq: int = 5
-    gcn_enabled: bool = True
     use_kg_loss: bool = True
     use_text_loss: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        for name in ("dim", "neg_samples", "context_radius", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("gcn_layers", "epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("lr", "bias_b"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("beta1/beta2 must lie in [0, 1)")
-        if self.bias_b <= 0:
-            raise ConfigError("bias_b must be > 0")
-        if self.context_radius < 1:
-            raise ConfigError("context_radius must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not (self.use_kg_loss or self.use_text_loss):
@@ -73,10 +77,24 @@ _TYPES = {f.name: type(f.default) for f in fields(OptimizerConfig)
           if not isinstance(f.default, bool)}
 
 
+def open_text(path) -> io.StringIO:
+    """The lines of UTF-8 file `path`, as `open(path, encoding="utf-8")`
+    reads them; a byte that is not UTF-8 raises a ValueError with the file
+    and line.  Every input file is read through here."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: byte "
+                         f"{data[exc.start:exc.end]!r} is not UTF-8") from None
+
+
 def parse_config_file(path) -> dict:
     """Parse `key = value` lines; unknown keys are rejected."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -96,9 +114,12 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def load_optimizer_config(path, base: OptimizerConfig | None = None) -> OptimizerConfig:
-    base = base or OptimizerConfig()
-    return replace(base, **parse_config_file(path))
+def load_optimizer_config(path, base: OptimizerConfig) -> OptimizerConfig:
+    values = parse_config_file(path)
+    try:
+        return replace(base, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .config import OptimizerConfig
-from .grounding import ENTITY_PREFIX, GroundedCorpus, Token
+from .config import OptimizerConfig, open_text
+from .grounding import ENTITY_PREFIX, GroundedCorpus
 from .kg import KnowledgeGraph, RelationStats, relation_stats
 
 EPS = 1e-12
@@ -60,14 +60,6 @@ class EmbeddingSpace:
     gcn_weights: list[np.ndarray]           # empty without a GCN
     activation: str = "relu"
     ent_out: np.ndarray | None = None
-    ent_index: dict[str, int] = field(default_factory=dict)
-    lex_index: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.ent_index:
-            self.ent_index = {e: i for i, e in enumerate(self.entities)}
-        if not self.lex_index:
-            self.lex_index = {w: i for i, w in enumerate(self.lexemes)}
 
     @property
     def n_entities(self) -> int:
@@ -80,12 +72,6 @@ class EmbeddingSpace:
     @property
     def n_tokens(self) -> int:
         return self.n_entities + self.n_lexemes
-
-    def token_index(self, token: Token, corpus: GroundedCorpus) -> int:
-        """Unified index: entities first, then lexemes."""
-        if token.is_entity:
-            return self.ent_index[token.entity]
-        return self.n_entities + self.lex_index[corpus.lexeme_of(token)]
 
     def parameters(self) -> dict[str, np.ndarray]:
         params = {"ent0": self.ent0, "rel": self.rel, "lex": self.lex}
@@ -107,8 +93,7 @@ def init_space(kg: KnowledgeGraph, corpus: GroundedCorpus,
     ent0 = xavier_uniform(rng, kg.n_entities, k)
     rel = xavier_uniform(rng, kg.n_relations, k)
     lex = xavier_uniform(rng, len(lexemes), k)
-    n_layers = cfg.gcn_layers if cfg.gcn_enabled else 0
-    gcn = [xavier_uniform(rng, k, k) for _ in range(n_layers)]
+    gcn = [xavier_uniform(rng, k, k) for _ in range(cfg.gcn_layers)]
     return EmbeddingSpace(
         lang=kg.lang, dim=k, entities=kg.entities, relations=kg.relations,
         lexemes=lexemes, ent0=ent0, rel=rel, lex=lex,
@@ -267,10 +252,9 @@ def text_loss(batch: TextBatch, space: EmbeddingSpace,
 
 @dataclass(frozen=True)
 class ObservedTriples:
-    """The observed triples of a KG, as a set for one-at-a-time lookups
-    and as the sorted int64 keys (h*R + r)*E + t for vectorized ones."""
+    """The observed triples of a KG as the sorted int64 keys
+    (h*R + r)*E + t."""
 
-    triple_set: set
     keys: np.ndarray
     n_entities: int
     n_relations: int
@@ -284,8 +268,7 @@ class ObservedTriples:
                              "overflow the int64 triple key")
         triples = np.array(kg.triples, dtype=np.int64).reshape(-1, 3)
         keys = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
-        return cls(triple_set=kg.triple_set(), keys=np.sort(keys),
-                   n_entities=n_ent, n_relations=n_rel)
+        return cls(keys=np.sort(keys), n_entities=n_ent, n_relations=n_rel)
 
     def contains(self, h: np.ndarray, r: np.ndarray,
                  t: np.ndarray) -> np.ndarray:
@@ -298,7 +281,7 @@ class ObservedTriples:
 
 
 def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
-            triple_set: set, n_entities: int,
+            observed: ObservedTriples,
             rng: np.random.Generator) -> tuple[int, int]:
     """Redraw the corruption (nh, r, nt) of (h, r, t), an observed triple.
 
@@ -307,6 +290,7 @@ def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
     from the positive on the other side, again up to 10*|E| times.  If
     those are all observed too, the positive (h, t) itself is returned.
     """
+    n_entities = observed.n_entities
     for _ in range(2):
         for _ in range(10 * n_entities):
             cand = int(rng.integers(n_entities))
@@ -314,7 +298,7 @@ def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
                 nh = cand
             else:
                 nt = cand
-            if (nh, r, nt) not in triple_set:
+            if not observed.contains(nh, r, nt):
                 return nh, nt
         corrupt_head, nh, nt = not corrupt_head, h, t
     return nh, nt
@@ -345,7 +329,7 @@ def _kg_batch(pos: np.ndarray, stats: RelationStats,
         h, r, t = (int(x) for x in pos[i])
         neg_h[i, j], neg_t[i, j] = _redraw(
             h, r, t, int(neg_h[i, j]), int(neg_t[i, j]),
-            bool(head_side[i, j]), observed.triple_set, n_entities, rng)
+            bool(head_side[i, j]), observed, rng)
     return KGBatch(positives=pos, neg_heads=neg_h, neg_tails=neg_t)
 
 
@@ -381,11 +365,13 @@ def _pair_array(docs_idx: list[np.ndarray], radius: int) -> np.ndarray:
 
 def encode_corpus(corpus: GroundedCorpus,
                   space: EmbeddingSpace) -> list[np.ndarray]:
-    docs = []
-    for doc in corpus.documents:
-        docs.append(np.array([space.token_index(tok, corpus) for tok in doc],
-                             dtype=np.int64))
-    return docs
+    """Documents as unified indices: entities, then lexemes (or `<unk>`)."""
+    ent_row = {e: i for i, e in enumerate(space.entities)}
+    lex_row = {w: space.n_entities + i for i, w in enumerate(space.lexemes)}
+    return [np.array([ent_row[tok.entity] if tok.is_entity
+                      else lex_row[corpus.lexeme_of(tok)] for tok in doc],
+                     dtype=np.int64)
+            for doc in corpus.documents]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +436,7 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
 
     rng = np.random.default_rng(seed)
     space = init_space(kg, corpus, cfg, rng)
-    adjacency = build_graph_structure(kg) if cfg.gcn_enabled else None
+    adjacency = build_graph_structure(kg) if cfg.gcn_layers else None
     stats = relation_stats(kg)
     observed = ObservedTriples.of(kg)
     triples = np.array(kg.triples, dtype=np.int64)
@@ -539,11 +525,10 @@ def _format_row(vec: np.ndarray) -> str:
 def write_embeddings(space: EmbeddingSpace, prefix) -> None:
     """Write `<prefix>.vec` (entities then frequency-ordered lexemes) and
     `<prefix>.rel.vec`, both in word2vec text format."""
-    ent = space.ent_out if space.ent_out is not None else space.ent0
     with open(f"{prefix}.vec", "w", encoding="utf-8") as fh:
         fh.write(f"{space.n_tokens} {space.dim}\n")
         for i, e in enumerate(space.entities):
-            fh.write(f"{ENTITY_PREFIX}{e} {_format_row(ent[i])}\n")
+            fh.write(f"{ENTITY_PREFIX}{e} {_format_row(space.ent_out[i])}\n")
         for i, w in enumerate(space.lexemes):
             fh.write(f"{w} {_format_row(space.lex[i])}\n")
     with open(f"{prefix}.rel.vec", "w", encoding="utf-8") as fh:
@@ -556,7 +541,7 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
     """Tokens and rows of a word2vec text file.  A bad header, a duplicate
     token, a row of the wrong width or count, and a non-numeric or
     non-finite value raise a ValueError with the file and line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(h.isascii() and h.isdigit()
                                        for h in header):

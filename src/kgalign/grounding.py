@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .config import open_text
 from .kg import KnowledgeGraph
 
 ENTITY_PREFIX = "@ent:"
@@ -141,7 +142,7 @@ def build_index(forms_path, kg: KnowledgeGraph,
     Unknown entity ids are skipped and counted; empty surface forms raise.
     """
     index = SurfaceFormIndex(case_fold=case_fold)
-    with open(forms_path, encoding="utf-8") as fh:
+    with open_text(forms_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -198,7 +199,7 @@ def ground_corpus(corpus_path, index: SurfaceFormIndex, kg: KnowledgeGraph,
                   min_freq: int = 5) -> tuple[GroundedCorpus, GroundingStats]:
     """Ground a pre-tokenized corpus file (one document per line)."""
     docs: list[list[Token]] = []
-    with open(corpus_path, encoding="utf-8") as fh:
+    with open_text(corpus_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             # a raw marker would read back as an entity mention
@@ -222,7 +223,7 @@ def load_pregrounded(corpus_path, kg: KnowledgeGraph,
     with the file and line, so no lexeme starts with the marker.
     """
     docs: list[list[Token]] = []
-    with open(corpus_path, encoding="utf-8") as fh:
+    with open_text(corpus_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             doc: list[Token] = []
             for raw in line.split():

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .config import open_text
+
 
 class KGFormatError(ValueError):
     """Raised for malformed triples files."""
@@ -26,7 +28,6 @@ class KnowledgeGraph:
     triples: tuple[tuple[int, int, int], ...]
     duplicate_count: int = 0
     ent_index: dict[str, int] = field(default_factory=dict, compare=False)
-    rel_index: dict[str, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         n_ent, n_rel = len(self.entities), len(self.relations)
@@ -36,9 +37,6 @@ class KnowledgeGraph:
         if not self.ent_index:
             object.__setattr__(self, "ent_index",
                                {e: i for i, e in enumerate(self.entities)})
-        if not self.rel_index:
-            object.__setattr__(self, "rel_index",
-                               {r: i for i, r in enumerate(self.relations)})
 
     @property
     def n_entities(self) -> int:
@@ -48,12 +46,8 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def triple_set(self) -> set[tuple[int, int, int]]:
-        return set(self.triples)
 
-
-def from_string_triples(string_triples, lang: str,
-                        duplicate_count: int = 0) -> KnowledgeGraph:
+def from_string_triples(string_triples, lang: str) -> KnowledgeGraph:
     """Build a KnowledgeGraph from (head, relation, tail) id strings.
 
     Vocabulary indices follow first appearance; duplicate triples collapse.
@@ -62,7 +56,7 @@ def from_string_triples(string_triples, lang: str,
     rels: dict[str, int] = {}
     seen: set[tuple[int, int, int]] = set()
     triples: list[tuple[int, int, int]] = []
-    dups = duplicate_count
+    dups = 0
     for h, r, t in string_triples:
         hi = ents.setdefault(h, len(ents))
         ri = rels.setdefault(r, len(rels))
@@ -80,14 +74,13 @@ def from_string_triples(string_triples, lang: str,
         triples=tuple(triples),
         duplicate_count=dups,
         ent_index=ents,
-        rel_index=rels,
     )
 
 
 def load_kg(path, lang: str) -> KnowledgeGraph:
     """Load a KG from a UTF-8 TSV file, one `head<TAB>rel<TAB>tail` per line."""
     raw: list[tuple[str, str, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

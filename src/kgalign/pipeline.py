@@ -168,7 +168,7 @@ def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
 ABLATIONS: dict[str, tuple[dict, dict]] = {
     "full": ({}, {}),
     "no_self_learning": ({"no_self_learning": True}, {}),
-    "no_gcn": ({}, {"gcn_enabled": False}),
+    "no_gcn": ({}, {"gcn_layers": 0}),
     "no_text": ({}, {"use_text_loss": False}),
     "no_kg": ({}, {"use_kg_loss": False}),
     "l2_metric": ({"metric": "l2"}, {}),

@@ -49,7 +49,7 @@ def test_criterion_1_gradient_suite():
             kg = random_kg(rng, n_entities=int(rng.integers(4, 10)),
                            n_triples=12)
             corpus = random_corpus(rng, kg)
-            cfg = small_config(dim=4, gcn_enabled=gcn, activation="tanh")
+            cfg = small_config(dim=4, gcn_layers=int(gcn), activation="tanh")
             space = embedding.init_space(kg, corpus, cfg, rng)
             graph = build_graph_structure(kg)
             stats = relation_stats(kg)

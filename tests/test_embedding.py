@@ -32,7 +32,7 @@ def random_instance(seed, gcn=True, activation="tanh", dim=4):
     kg = random_kg(rng, n_entities=int(rng.integers(4, 10)),
                    n_triples=int(rng.integers(8, 16)))
     corpus = random_corpus(rng, kg)
-    cfg = small_config(dim=dim, gcn_enabled=gcn, activation=activation)
+    cfg = small_config(dim=dim, gcn_layers=int(gcn), activation=activation)
     space = init_space(kg, corpus, cfg, rng)
     graph = build_graph_structure(kg)
     stats = relation_stats(kg)
@@ -96,7 +96,7 @@ def triple_score(h_vec, r_vec, t_vec):
     """
     kg = from_string_triples([("h", "r", "t"), ("x", "r", "y")], "xx")
     space = make_space(kg, make_corpus([["w"]]),
-                       small_config(dim=len(h_vec), gcn_enabled=False))
+                       small_config(dim=len(h_vec), gcn_layers=0))
     space.ent0[:] = [h_vec, t_vec, np.zeros_like(r_vec), r_vec]
     space.rel[:] = [r_vec]
     batch = KGBatch(positives=np.array([[0, 0, 1]]),
@@ -125,7 +125,7 @@ class TestKGLoss:
         kg = from_string_triples(
             [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")], "xx")
         corpus = make_corpus([["w"]])
-        cfg = small_config(dim=4, gcn_enabled=False)
+        cfg = small_config(dim=4, gcn_layers=0)
         space = make_space(kg, corpus, cfg)
         space.ent0[:] = 1.0
         space.rel[:] = 0.0
@@ -151,7 +151,7 @@ class TestKGLoss:
     def test_dominant_positive_drives_loss_to_zero(self):
         kg = from_string_triples([("a", "r", "b")], "xx")
         corpus = make_corpus([["w"]])
-        space = make_space(kg, corpus, small_config(dim=2, gcn_enabled=False))
+        space = make_space(kg, corpus, small_config(dim=2, gcn_layers=0))
         space.ent0[:] = [[0.0, 0.0], [0.0, 0.0]]
         space.rel[:] = 0.0
         far = np.array([[100.0, 0.0]])
@@ -245,7 +245,7 @@ class TestNegativeTriples:
     def test_negatives_never_observed(self):
         rng = np.random.default_rng(0)
         kg = random_kg(rng, n_entities=6, n_triples=12)
-        observed = kg.triple_set()
+        observed = set(kg.triples)
         batch = kg_batch(kg, kg.triples[:5], 10, rng)
         for (_, r, _), heads, tails in zip(batch.positives, batch.neg_heads,
                                            batch.neg_tails):
@@ -299,7 +299,7 @@ class TestNegativeTriples:
         with time_limit(2):
             batch = kg_batch(kg, pos, m, np.random.default_rng(seed))
         assert batch.neg_heads.shape == batch.neg_tails.shape == (len(pos), m)
-        observed = kg.triple_set()
+        observed = set(kg.triples)
         for (h, r, t), heads, tails in zip(pos, batch.neg_heads,
                                            batch.neg_tails):
             for nh, nt in zip(heads, tails):
@@ -388,7 +388,7 @@ class TestTrain:
         rng = np.random.default_rng(2)
         kg = random_kg(rng, n_entities=6, n_triples=10)
         corpus = random_corpus(rng, kg)
-        cfg = small_config(epochs=2, gcn_enabled=False)
+        cfg = small_config(epochs=2, gcn_layers=0)
         space, _ = train(kg, corpus, cfg, seed=3)
         np.testing.assert_array_equal(space.ent_out, space.ent0)
 
@@ -442,7 +442,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         kg = random_kg(rng, n_entities=8, n_triples=14)
         corpus = random_corpus(rng, kg)
-        cfg = small_config(gcn_enabled=False, use_text_loss=False, epochs=1,
+        cfg = small_config(gcn_layers=0, use_text_loss=False, epochs=1,
                            batch_size=len(kg.triples), lr=1e308)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDivergence,
@@ -548,7 +548,7 @@ class TestKernelsBitExact:
     def test_text_loss_without_lexemes(self):
         kg = from_string_triples([("a", "r", "b"), ("b", "r", "c")], "xx")
         corpus = make_corpus([[("ent", "a"), ("ent", "b"), ("ent", "c")]])
-        space = make_space(kg, corpus, small_config(gcn_enabled=False))
+        space = make_space(kg, corpus, small_config(gcn_layers=0))
         assert space.n_lexemes == 0
         batch = TextBatch(centers=np.array([0, 1, 1]),
                           contexts=np.array([1, 0, 2]),
@@ -569,7 +569,7 @@ class TestKernelsBitExact:
         slow_rng = np.random.default_rng(seed + 100)
         batch = _kg_batch(pos, stats, ObservedTriples.of(kg), 8, fast_rng)
         heads, tails, collisions = set_loop_negatives(
-            pos, stats.head_corruption_prob, kg.triple_set(),
+            pos, stats.head_corruption_prob, set(kg.triples),
             kg.n_entities, 8, slow_rng)
         assert collisions > 0
         np.testing.assert_array_equal(batch.neg_heads, heads)
@@ -649,14 +649,13 @@ class TestObservedTriples:
         n_ent, n_rel = 2 ** 31, 2
         last = (n_ent - 1, n_rel - 1, n_ent - 1)
         kg = SimpleNamespace(n_entities=n_ent, n_relations=n_rel,
-                             triples=(last,), triple_set=lambda: {last})
+                             triples=(last,))
         observed = ObservedTriples.of(kg)
         assert observed.keys.tolist() == [2 ** 63 - 1]
         assert observed.contains(*(np.array([x]) for x in last)).tolist() \
             == [True]
 
     def test_key_overflow_rejected(self):
-        kg = SimpleNamespace(n_entities=2 ** 31, n_relations=3, triples=(),
-                             triple_set=set)
+        kg = SimpleNamespace(n_entities=2 ** 31, n_relations=3, triples=())
         with pytest.raises(ValueError, match="overflow"):
             ObservedTriples.of(kg)

@@ -122,6 +122,23 @@ def pregrounded_inputs(tmp_path, text):
             tmp_path / "g.grounded", "--out", tmp_path / "emb"]
 
 
+def config_case(setting, rule):
+    """A `kgalign run` case with the config file holding `setting`, which
+    breaks `rule`: exit 1, and the message names the file."""
+    key = setting.split(" = ")[0]
+    return (lambda p, mp: run_inputs(p, setting + "\n"), 1,
+            f"cfg: {key} must be {rule}")
+
+
+def with_bad_byte(args, path, lineno):
+    """`args`, after the byte 0xff is put at the end of line `lineno`
+    (1-based) of `path`, which makes the file not UTF-8."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    return args
+
+
 def align_with_failing_svd(tmp_path, monkeypatch):
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -215,6 +232,27 @@ CASES = {
     # lexicon pairs may be many-to-many and name absent items
     "align-seed-lexicon-many-to-many": (
         lambda p, mp: with_lexicon(p, "w0\tw0\nw0\tw1\nzz\tw2\n"), 0, ""),
+    # an out-of-range training setting is an input error, not a crash in
+    # training or an untrained space
+    "run-config-batch-size-0": config_case("batch_size = 0", ">= 1"),
+    "run-config-batch-size-negative": config_case("batch_size = -5", ">= 1"),
+    "run-config-dim-0": config_case("dim = 0", ">= 1"),
+    "run-config-neg-samples-0": config_case("neg_samples = 0", ">= 1"),
+    "run-config-epochs-negative": config_case("epochs = -3", ">= 0"),
+    "run-config-gcn-layers-negative": config_case("gcn_layers = -1", ">= 0"),
+    "run-config-lr-nan": config_case("lr = nan", "finite and > 0"),
+    "run-config-bias-inf": config_case("bias_b = inf", "finite and > 0"),
+    # a byte that is not UTF-8 names the file and line
+    "align-vec-not-utf8": (
+        lambda p, mp: with_bad_byte(align_inputs(p), p / "src.vec", 3), 1,
+        "src.vec: line 3: byte b'\\xff' is not UTF-8"),
+    "align-seed-not-utf8": (
+        lambda p, mp: with_bad_byte(align_inputs(p), p / "seeds.tsv", 2), 1,
+        "seeds.tsv: line 2: byte b'\\xff' is not UTF-8"),
+    "train-kg-not-utf8": (
+        lambda p, mp: with_bad_byte(pregrounded_inputs(p, "@ent:a w\n"),
+                                    p / "kg.tsv", 2), 1,
+        "kg.tsv: line 2: byte b'\\xff' is not UTF-8"),
     "run-stop-frac-above-1": (
         lambda p, mp: run_inputs(p, "dim = 4\nepochs = 1\nmin_freq = 1\n")
         + ["--stop-frac", 5], 1, "stop_fraction"),

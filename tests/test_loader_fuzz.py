@@ -1,13 +1,18 @@
-"""Hypothesis fuzz of the `.vec` and pair-file loaders: every text either
-loads into a consistent result or raises a ValueError that names the
-file, and no text makes a loader run long."""
+"""Hypothesis fuzz of the file loaders: every text either loads into a
+consistent result or raises a ValueError that names the file, no text
+makes a loader run long, and every loader names the file and line of a
+byte that is not UTF-8."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgalign.alignment import load_seed_pairs
+from kgalign.alignment import load_seed_pairs, load_state
+from kgalign.config import parse_config_file
 from kgalign.embedding import read_embeddings
+from kgalign.grounding import (SurfaceFormIndex, build_index, ground_corpus,
+                               load_pregrounded)
+from kgalign.kg import from_string_triples, load_kg
 
 from conftest import time_limit
 
@@ -61,3 +66,33 @@ def test_load_seed_pairs_loads_or_names_the_file(tmp_path_factory, text):
             return
     assert all(len(pair) == 2 and "\t" not in pair[0] + pair[1]
                and "\n" not in pair[0] + pair[1] for pair in pairs)
+
+
+KG = from_string_triples([("a", "r", "b")], "xx")
+LOADERS = (read_embeddings, load_seed_pairs, load_state, parse_config_file,
+           lambda path: load_kg(path, "xx"),
+           lambda path: build_index(path, KG),
+           lambda path: ground_corpus(path, SurfaceFormIndex(), KG),
+           lambda path: load_pregrounded(path, KG))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary())
+def test_loaders_name_the_line_of_a_non_utf8_byte(tmp_path_factory, data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        where = f"line {lineno}: byte "
+    else:
+        where = ""  # a text: covered above for the .vec and pair loaders
+    path = tmp_path_factory.getbasetemp() / "fuzz_input.bin"
+    path.write_bytes(data)
+    for load in LOADERS:
+        with time_limit(10):
+            try:
+                load(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: {where}"), exc
+                continue
+        assert not where, "a file that is not UTF-8 loaded"

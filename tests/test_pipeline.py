@@ -112,7 +112,7 @@ class TestAblations:
 
     def test_flag_wiring(self):
         base = quick_config()
-        assert ablation_config(base, "no_gcn").optimizer.gcn_enabled is False
+        assert ablation_config(base, "no_gcn").optimizer.gcn_layers == 0
         assert ablation_config(base, "no_text").optimizer.use_text_loss is False
         assert ablation_config(base, "no_kg").optimizer.use_kg_loss is False
         assert ablation_config(base, "no_self_learning").no_self_learning
@@ -180,7 +180,7 @@ class TestAblations:
                           names=names)
         # full, no_self_learning and l2_metric share one pair of spaces
         assert len(trained) == 4
-        assert [c.gcn_enabled for c in trained] == [True, True, False, False]
+        assert [c.gcn_layers for c in trained] == [1, 1, 0, 0]
         for name in names:
             run_pipeline(ablation_config(quick_config(), name), bench,
                          tmp_path / "alone" / name, seed=0)
@@ -204,7 +204,7 @@ class TestCli:
             "ground", "--kg", str(bench_dir / "src.triples"),
             "--forms", str(bench_dir / "src.forms"),
             "--corpus", str(bench_dir / "src.corpus"),
-            "--out", str(tmp_path / "src.grounded"), "--min-freq", "1"])
+            "--out", str(tmp_path / "src.grounded")])
         assert res.exit_code == 0, res.output
         assert "coverage" in res.output
 
@@ -218,6 +218,29 @@ class TestCli:
         report = (tmp_path / "run" / "report.tsv").read_text().splitlines()
         assert report[0].startswith("h1\t")
         assert report[3].startswith("n\t")
+
+    def test_no_gcn_flag_is_zero_gcn_layers(self, bench, tmp_path):
+        """`train --no-gcn` and a config file with `gcn_layers = 0` write
+        the same files: zero layers is the one way to say no GCN."""
+        runner = CliRunner()
+        grounded = str(tmp_path / "src.grounded")
+        res = runner.invoke(cli, [
+            "ground", "--kg", str(bench.src_triples),
+            "--forms", str(bench.src_forms), "--corpus", str(bench.src_corpus),
+            "--out", grounded])
+        assert res.exit_code == 0, res.output
+        for name, extra, flags in (("flag", "", ["--no-gcn"]),
+                                   ("layers", "gcn_layers = 0\n", [])):
+            cfg_file = tmp_path / f"{name}.cfg"
+            cfg_file.write_text("dim = 8\nepochs = 5\nmin_freq = 1\n" + extra)
+            res = runner.invoke(cli, [
+                "train", "--kg", str(bench.src_triples), "--grounded",
+                grounded, "--config", str(cfg_file),
+                "--out", str(tmp_path / name), *flags])
+            assert res.exit_code == 0, res.output
+        for suffix in (".vec", ".rel.vec"):
+            assert (tmp_path / f"flag{suffix}").read_bytes() == \
+                (tmp_path / f"layers{suffix}").read_bytes()
 
     def test_config_file_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
