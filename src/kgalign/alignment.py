@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,6 +289,32 @@ def save_state(state: AlignmentState, path) -> None:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def _space_of(side: str, payload) -> AlignmentSpace:
+    """One side of a saved state: unique string items, each with one
+    finite vector row, the rows of one width."""
+    items, rows = payload["items"], payload["vectors"]
+    try:
+        vectors = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        vectors = None
+    if not isinstance(items, list) or not items or not all(
+            isinstance(it, str) for it in items):
+        problem = "items must be a non-empty list of strings"
+    elif len(set(items)) != len(items):
+        twice = next(it for it, n in Counter(items).items() if n > 1)
+        problem = f"item {twice!r} is listed twice"
+    elif vectors is None or vectors.ndim != 2:
+        problem = "vectors must be rows of numbers of one width"
+    elif len(vectors) != len(items):
+        problem = f"has {len(items)} items but {len(vectors)} vector rows"
+    elif not np.isfinite(vectors).all():
+        bad = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
+        problem = f"vector of {items[bad]!r} has a non-finite value"
+    else:
+        return AlignmentSpace(tuple(items), vectors)
+    raise ValueError(f"{side} {problem}")
+
+
 def load_state(path) -> AlignmentState:
     """The state saved by `save_state`; a malformed file raises a
     ValueError that names it."""
@@ -298,10 +325,8 @@ def load_state(path) -> AlignmentState:
             raise ValueError(f"{path}: not a JSON state file: {exc}") from None
     try:
         state = AlignmentState(
-            source=AlignmentSpace(tuple(data["source"]["items"]),
-                                  np.array(data["source"]["vectors"])),
-            target=AlignmentSpace(tuple(data["target"]["items"]),
-                                  np.array(data["target"]["vectors"])),
+            source=_space_of("source", data["source"]),
+            target=_space_of("target", data["target"]),
             ent_pairs=[tuple(p) for p in data["ent_pairs"]],
             lex_pairs=[tuple(p) for p in data["lex_pairs"]],
             transform=np.array(data.get("transform"), dtype=float),
@@ -309,12 +334,17 @@ def load_state(path) -> AlignmentState:
             proposal_counts=list(data["proposal_counts"]),
             lexeme_top_f=data["lexeme_top_f"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed state file: {exc!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed state file: {exc}") from None
     shape = (state.target.vectors.shape[-1], state.source.vectors.shape[-1])
     if state.transform.shape != shape:
         raise ValueError(f"{path}: transform must be a {shape[0]}x{shape[1]} "
                          f"matrix, not {json.dumps(data.get('transform')):.40}")
+    if not np.isfinite(state.transform).all():
+        raise ValueError(f"{path}: malformed state file: transform has a "
+                         "non-finite value")
     return state
 
 

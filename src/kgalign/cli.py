@@ -78,12 +78,10 @@ def _setting_options(*fields):
             for f in fields]
 
 
-def _pipeline_config(config_path=None, desk_scale=True,
-                     **options) -> PipelineConfig:
+def _pipeline_config(config_path=None, **options) -> PipelineConfig:
     """The validated PipelineConfig of a command's setting options and
-    ablation flags, over the desk-scale (or full-scale) optimizer config
-    and `--config`."""
-    opt = OptimizerConfig.desk_scale() if desk_scale else OptimizerConfig()
+    ablation flags, over the desk-scale optimizer config and `--config`."""
+    opt = OptimizerConfig.desk_scale()
     if config_path:
         opt = load_optimizer_config(config_path, opt)
     cfg = PipelineConfig(optimizer=opt, **{
@@ -134,15 +132,12 @@ def ground_cmd(kg_path, forms, corpus, out, lang, no_case_fold):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_prefix", required=True, type=click.Path())
 @click.option("--lang", default="xx", show_default=True)
-@click.option("--desk-scale/--full-scale", default=True, show_default=True)
 @_with_ablation_flags(_TRAIN_ABLATIONS)
-def train_cmd(kg_path, grounded, config_path, seed, out_prefix, lang,
-              desk_scale, **flags):
+def train_cmd(kg_path, grounded, config_path, seed, out_prefix, lang, **flags):
     """Train the joint KG + text embedding of one language."""
-    cfg = _pipeline_config(config_path, desk_scale, **flags).optimizer
+    cfg = _pipeline_config(config_path, **flags).optimizer
     graph = kg.load_kg(kg_path, lang)
-    corpus = grounding.load_pregrounded(grounded, graph,
-                                        min_freq=cfg.min_freq)
+    corpus = grounding.load_pregrounded(grounded, graph)
     space, _ = embedding.train(graph, corpus, cfg, seed)
     embedding.write_embeddings(space, out_prefix)
     click.echo(f"embeddings written to {out_prefix}.vec")
@@ -185,7 +180,7 @@ def eval_cmd(state_path, test_path, out_path, **options):
     cfg = _pipeline_config(**options)
     state = alignment.load_state(state_path)
     report = pipeline.evaluate_stage(
-        cfg, alignment.load_seed_pairs(test_path), state, out_path)
+        cfg, alignment.load_seed_pairs(test_path), test_path, state, out_path)
     for line in report.lines():
         click.echo(line)
 

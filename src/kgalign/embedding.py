@@ -10,6 +10,7 @@ applied with AMSGrad.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .grounding import ENTITY_PREFIX, GroundedCorpus
 from .kg import KnowledgeGraph, RelationStats, relation_stats
 
 EPS = 1e-12
+RARE_TOKEN = "<unk>"
 
 
 class TrainingDivergence(RuntimeError):
@@ -83,13 +85,26 @@ class EmbeddingSpace:
         return all(np.all(np.isfinite(p)) for p in self.parameters().values())
 
 
+def vocabulary(corpus: GroundedCorpus, min_freq: int) -> tuple[str, ...]:
+    """The lexemes of `corpus` seen at least `min_freq` times, plus
+    `<unk>` if any are not, by descending count, ties by first appearance.
+    `<unk>` counts every occurrence of a word below the cutoff, and of a
+    literal `<unk>` in the corpus."""
+    counts = Counter(tok.text for doc in corpus.documents for tok in doc
+                     if not tok.is_entity)
+    kept = {w: c for w, c in counts.items() if c >= min_freq}
+    rare = sum(counts.values()) - sum(kept.values())
+    if rare:
+        kept[RARE_TOKEN] = kept.get(RARE_TOKEN, 0) + rare
+    return tuple(sorted(kept, key=lambda w: -kept[w]))  # a stable sort
+
+
 def init_space(kg: KnowledgeGraph, corpus: GroundedCorpus,
                cfg: OptimizerConfig, rng: np.random.Generator) -> EmbeddingSpace:
-    """Xavier-initialized embedding space for one language."""
+    """Xavier-initialized embedding space for one language, over the
+    vocabulary of `corpus` at `cfg.min_freq`."""
     k = cfg.dim
-    items = list(corpus.lexicon.items())
-    order = sorted(range(len(items)), key=lambda i: (-items[i][1], i))
-    lexemes = tuple(items[i][0] for i in order)
+    lexemes = vocabulary(corpus, cfg.min_freq)
     ent0 = xavier_uniform(rng, kg.n_entities, k)
     rel = xavier_uniform(rng, kg.n_relations, k)
     lex = xavier_uniform(rng, len(lexemes), k)
@@ -365,11 +380,13 @@ def _pair_array(docs_idx: list[np.ndarray], radius: int) -> np.ndarray:
 
 def encode_corpus(corpus: GroundedCorpus,
                   space: EmbeddingSpace) -> list[np.ndarray]:
-    """Documents as unified indices: entities, then lexemes (or `<unk>`)."""
+    """Documents as unified indices: entities, then lexemes; a word that is
+    not in `space.lexemes` takes the `<unk>` row."""
     ent_row = {e: i for i, e in enumerate(space.entities)}
     lex_row = {w: space.n_entities + i for i, w in enumerate(space.lexemes)}
     return [np.array([ent_row[tok.entity] if tok.is_entity
-                      else lex_row[corpus.lexeme_of(tok)] for tok in doc],
+                      else lex_row[tok.text] if tok.text in lex_row
+                      else lex_row[RARE_TOKEN] for tok in doc],
                      dtype=np.int64)
             for doc in corpus.documents]
 

@@ -9,13 +9,12 @@ attempted; ambiguous forms keep their first-inserted entity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import open_text
 from .kg import KnowledgeGraph
 
 ENTITY_PREFIX = "@ent:"
-RARE_TOKEN = "<unk>"
 
 
 @dataclass(frozen=True)
@@ -94,29 +93,10 @@ class SurfaceFormIndex:
 
 @dataclass
 class GroundedCorpus:
-    lang: str
+    """The grounded documents of one corpus, one per line.  Training, not
+    grounding, decides which lexemes are kept (`embedding.vocabulary`)."""
+
     documents: list[list[Token]]
-    lexicon: dict[str, int] = field(default_factory=dict)
-    min_freq: int = 1
-
-    def __post_init__(self):
-        if not self.lexicon:
-            self.lexicon = self._count_lexicon()
-
-    def _count_lexicon(self) -> dict[str, int]:
-        counts = Counter(tok.text for doc in self.documents for tok in doc
-                         if not tok.is_entity)
-        kept = {text: c for text, c in counts.items() if c >= self.min_freq}
-        rare_total = sum(counts.values()) - sum(kept.values())
-        if rare_total:
-            kept[RARE_TOKEN] = kept.get(RARE_TOKEN, 0) + rare_total
-        return kept
-
-    def lexeme_of(self, token: Token) -> str:
-        """Vocabulary form of a lexeme token (rare lexemes fold to <unk>)."""
-        if token.text in self.lexicon:
-            return token.text
-        return RARE_TOKEN
 
     def reconstruct(self, doc_idx: int) -> list[str]:
         """Original token sequence of a document, entity tokens expanded."""
@@ -195,8 +175,8 @@ def grounding_stats(corpus: GroundedCorpus,
     return GroundingStats(coverage=coverage, avg_match=avg)
 
 
-def ground_corpus(corpus_path, index: SurfaceFormIndex, kg: KnowledgeGraph,
-                  min_freq: int = 5) -> tuple[GroundedCorpus, GroundingStats]:
+def ground_corpus(corpus_path, index: SurfaceFormIndex,
+                  kg: KnowledgeGraph) -> tuple[GroundedCorpus, GroundingStats]:
     """Ground a pre-tokenized corpus file (one document per line)."""
     docs: list[list[Token]] = []
     with open_text(corpus_path) as fh:
@@ -211,12 +191,11 @@ def ground_corpus(corpus_path, index: SurfaceFormIndex, kg: KnowledgeGraph,
                             f"{tok!r} starts with the entity marker "
                             f"{ENTITY_PREFIX!r}")
             docs.append(ground_tokens(tokens, index))
-    corpus = GroundedCorpus(lang=kg.lang, documents=docs, min_freq=min_freq)
+    corpus = GroundedCorpus(docs)
     return corpus, grounding_stats(corpus, kg)
 
 
-def load_pregrounded(corpus_path, kg: KnowledgeGraph,
-                     min_freq: int = 5) -> GroundedCorpus:
+def load_pregrounded(corpus_path, kg: KnowledgeGraph) -> GroundedCorpus:
     """Read an externally grounded corpus (`@ent:<id>` entity markers).
 
     A marker with no id or with an id not in the KG raises a ValueError
@@ -239,7 +218,7 @@ def load_pregrounded(corpus_path, kg: KnowledgeGraph,
                                      f"it {problem}")
                 doc.append(entity_token(ent, (raw,)))
             docs.append(doc)
-    return GroundedCorpus(lang=kg.lang, documents=docs, min_freq=min_freq)
+    return GroundedCorpus(docs)
 
 
 def write_grounded(corpus: GroundedCorpus, path) -> None:

@@ -47,7 +47,7 @@ def split_gold(gold_pairs: list[tuple[str, str]], seed_fraction: float,
     return seed_pairs, test_pairs
 
 
-def ground_stage(cfg: PipelineConfig, paths: BenchmarkPaths, log=_quiet):
+def ground_stage(paths: BenchmarkPaths, log=_quiet):
     """(KG, grounded corpus) of the source and of the target language."""
     log("stage ground: matching surface forms")
     grounded, notes = [], []
@@ -56,8 +56,7 @@ def ground_stage(cfg: PipelineConfig, paths: BenchmarkPaths, log=_quiet):
             ("tgt", paths.tgt_triples, paths.tgt_forms, paths.tgt_corpus)):
         graph = kg.load_kg(triples, lang)
         index = grounding.build_index(forms, graph)
-        corpus, stats = grounding.ground_corpus(
-            corpus_path, index, graph, min_freq=cfg.optimizer.min_freq)
+        corpus, stats = grounding.ground_corpus(corpus_path, index, graph)
         grounded.append((graph, corpus))
         notes.append(f"{lang} coverage={stats.coverage:.3f} "
                      f"avg_match={stats.avg_match:.1f}")
@@ -75,9 +74,10 @@ def train_stage(cfg: PipelineConfig, grounded, seed: int, log=_quiet):
     return src_space, tgt_space
 
 
-def _check_seed_pairs(pairs, source: AlignmentSpace, target: AlignmentSpace,
-                      path) -> None:
-    """Seed entity pairs name known entities, each at most once a side."""
+def _check_pairs(kind: str, pairs, source: AlignmentSpace,
+                 target: AlignmentSpace, path) -> None:
+    """Seed or test entity pairs name known entities, each at most once a
+    side."""
     used = (set(), set())
     for pair in pairs:
         for side, space, entity, seen in zip(("source", "target"),
@@ -89,7 +89,7 @@ def _check_seed_pairs(pairs, source: AlignmentSpace, target: AlignmentSpace,
             else:
                 seen.add(entity)
                 continue
-            raise ValueError(f"{path}: seed pair {pair[0]}\t{pair[1]}: "
+            raise ValueError(f"{path}: {kind} pair {pair[0]}\t{pair[1]}: "
                              f"{side} entity {entity!r} {problem}")
 
 
@@ -100,7 +100,7 @@ def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
     save the state.  With `cfg.use_seed_lexicon`, the pairs of
     `lexicon_path` whose two items are in the spaces join the seeds."""
     log("stage align: self-learning transform induction")
-    _check_seed_pairs(seed_pairs, source, target, seed_path)
+    _check_pairs("seed", seed_pairs, source, target, seed_path)
     state = AlignmentState(source=source, target=target,
                            ent_pairs=list(seed_pairs),
                            lexeme_top_f=cfg.lexeme_top_f)
@@ -121,9 +121,13 @@ def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
     return state
 
 
-def evaluate_stage(cfg: PipelineConfig, test_pairs, state: AlignmentState,
-                   report_path=None, log=_quiet) -> EvalReport:
+def evaluate_stage(cfg: PipelineConfig, test_pairs, test_path,
+                   state: AlignmentState, report_path=None,
+                   log=_quiet) -> EvalReport:
+    """Score the test pairs read from `test_path`, which must name known
+    entities, each at most once a side."""
     log("stage eval: ranking held-out gold pairs")
+    _check_pairs("test", test_pairs, state.source, state.target, test_path)
     report = evaluate(test_pairs, state, cfg.neighbor_query(), p=cfg.eval_p,
                       candidate_mode=cfg.candidate_mode)
     if report_path is not None:
@@ -148,7 +152,8 @@ def _align_and_evaluate(cfg, paths, grounded, spaces, out: Path, seed: int,
                         AlignmentSpace.from_file(out / "tgt_emb.vec"),
                         seed_pairs, paths.gold_entities, paths.gold_lexemes,
                         out / "alignment_state.json", log)
-    report = evaluate_stage(cfg, test_pairs, state, out / "report.tsv", log)
+    report = evaluate_stage(cfg, test_pairs, paths.gold_entities, state,
+                            out / "report.tsv", log)
     return PipelineResult(report=report,
                           state_path=out / "alignment_state.json",
                           report_path=out / "report.tsv",
@@ -158,7 +163,7 @@ def _align_and_evaluate(cfg, paths, grounded, spaces, out: Path, seed: int,
 
 def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
                  seed: int, log=_quiet) -> PipelineResult:
-    grounded = ground_stage(cfg, paths, log)
+    grounded = ground_stage(paths, log)
     spaces = train_stage(cfg, grounded, seed, log)
     return _align_and_evaluate(cfg, paths, grounded, spaces, Path(out_dir),
                                seed, log)
@@ -189,12 +194,11 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
                       seed: int, names=None,
                       log=_quiet) -> dict[str, EvalReport]:
     """Each ablation's run in its own directory under `out_dir`.  The
-    corpora are grounded once (no ablation changes `min_freq`), and each
-    distinct optimizer config is trained once, when a setting first
-    needs it."""
+    corpora are grounded once, and each distinct optimizer config is
+    trained once, when a setting first needs it."""
     configs = {name: ablation_config(base, name)
                for name in names or ABLATIONS}
-    grounded = ground_stage(base, paths, log)
+    grounded = ground_stage(paths, log)
     spaces = {}
     reports = {}
     for name, cfg in configs.items():

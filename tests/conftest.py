@@ -21,7 +21,7 @@ def tiny_kg():
     return from_string_triples(triples, "xx")
 
 
-def make_corpus(docs, lang="xx", min_freq=1):
+def make_corpus(docs):
     """docs: list of lists; strings are lexemes, ('ent', id) are entities."""
     parsed = []
     for doc in docs:
@@ -32,7 +32,7 @@ def make_corpus(docs, lang="xx", min_freq=1):
             else:
                 tokens.append(lexeme(tok))
         parsed.append(tokens)
-    return GroundedCorpus(lang=lang, documents=parsed, min_freq=min_freq)
+    return GroundedCorpus(parsed)
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ def random_corpus(rng, kg, n_docs=4, doc_len=10, n_words=6):
             else:
                 doc.append(f"w{int(rng.integers(n_words))}")
         docs.append(doc)
-    return make_corpus(docs, lang=kg.lang)
+    return make_corpus(docs)
 
 
 @contextmanager

@@ -390,7 +390,7 @@ def test_criterion_7_grounding_properties(tmp_path):
     corpus_file.write_text("\n".join(docs) + "\n", encoding="utf-8")
 
     index = build_index(forms_file, graph)
-    corpus, stats = ground_corpus(corpus_file, index, graph, min_freq=1)
+    corpus, stats = ground_corpus(corpus_file, index, graph)
 
     round_trip = all(corpus.reconstruct(i) == docs[i].split()
                      for i in range(len(docs)))

@@ -61,10 +61,11 @@ def with_lexicon(tmp_path, text):
     return align_inputs(tmp_path) + ["--seed-lexicon", tmp_path / "lexicon.tsv"]
 
 
-def eval_inputs(tmp_path, edit_state):
+def eval_inputs(tmp_path, edit_state, test="e3\te3\ne4\te4\n"):
     """`kgalign eval` arguments on a saved state of the `align_inputs`
     spaces with one seed pair and the identity transform, after
-    `edit_state` maps the file's text to the text kept."""
+    `edit_state` maps the file's text to the text kept, and a test file
+    holding `test`."""
     align_inputs(tmp_path)
     state = alignment.AlignmentState(
         source=alignment.AlignmentSpace.from_file(tmp_path / "src.vec"),
@@ -74,7 +75,7 @@ def eval_inputs(tmp_path, edit_state):
     path = tmp_path / "saved.json"
     path.write_text(edit_state(path.read_text(encoding="utf-8")),
                     encoding="utf-8")
-    (tmp_path / "test.tsv").write_text("e3\te3\ne4\te4\n", encoding="utf-8")
+    (tmp_path / "test.tsv").write_text(test, encoding="utf-8")
     return ["eval", "--state", path, "--test", tmp_path / "test.tsv"]
 
 
@@ -99,14 +100,14 @@ def run_inputs(tmp_path, config):
 
 
 def train_inputs(tmp_path, config):
-    """`kgalign train` arguments on the source side of the `run_inputs`
-    benchmark, grounded with `min_freq` 1, with `config`."""
+    """`kgalign train` arguments on the grounded source side of the
+    `run_inputs` benchmark, with `config`."""
     run_inputs(tmp_path, config)
     paths = BenchmarkPaths.in_dir(tmp_path / "bench")
     graph = kg.load_kg(paths.src_triples, "xx")
     corpus, _ = grounding.ground_corpus(
         paths.src_corpus, grounding.build_index(paths.src_forms, graph),
-        graph, min_freq=1)
+        graph)
     grounding.write_grounded(corpus, tmp_path / "src.grounded")
     return ["train", "--kg", paths.src_triples, "--grounded",
             tmp_path / "src.grounded", "--config", tmp_path / "cfg",
@@ -194,12 +195,48 @@ CASES = {
         lambda p, mp: eval_inputs(
             p, edit_json(lambda d: d.update(transform=[[1, 0], [0, 1]]))),
         1, "saved.json: transform must be a 3x3 matrix, not [[1, 0]"),
+    # a nan transform scores every test pair rank 1
+    "eval-state-transform-nan": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["transform"][0].__setitem__(0, float("nan")))),
+        1, "saved.json: malformed state file: transform has a non-finite "
+        "value"),
     "eval-state-truncated": (
         lambda p, mp: eval_inputs(p, lambda text: text[:len(text) // 2]),
         1, "saved.json: not a JSON state file"),
     "eval-state-not-json": (
         lambda p, mp: eval_inputs(p, lambda text: "h1\t0.5\n"),
         1, "saved.json: not a JSON state file"),
+    # each side of the state is checked like a .vec file
+    "eval-state-duplicate-item": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["target"]["items"].__setitem__(4, "@ent:e3"))),
+        1, "saved.json: malformed state file: target item '@ent:e3' is "
+        "listed twice"),
+    "eval-state-short-vectors": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["target"].update(vectors=d["target"]["vectors"][:6]))),
+        1, "saved.json: malformed state file: target has 12 items but 6 "
+        "vector rows"),
+    "eval-state-non-finite": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["source"]["vectors"][2].__setitem__(1, float("nan")))),
+        1, "saved.json: malformed state file: source vector of '@ent:e2' has "
+        "a non-finite value"),
+    # test pairs follow the rule of seed pairs
+    "eval-test-unknown-source": (
+        lambda p, mp: eval_inputs(p, lambda text: text, test="zz\te3\n"), 1,
+        "test.tsv: test pair zz\te3: source entity 'zz' is unknown"),
+    "eval-test-unknown-target": (
+        lambda p, mp: eval_inputs(p, lambda text: text, test="e3\tzz\n"), 1,
+        "test.tsv: test pair e3\tzz: target entity 'zz' is unknown"),
+    "eval-test-lexeme-target": (
+        lambda p, mp: eval_inputs(p, lambda text: text, test="e3\tw1\n"), 1,
+        "test.tsv: test pair e3\tw1: target entity 'w1' is unknown"),
+    "eval-test-target-twice": (
+        lambda p, mp: eval_inputs(p, lambda text: text,
+                                  test="e3\te3\ne4\te3\n"), 1,
+        "test.tsv: test pair e4\te3: target entity 'e3' is used twice"),
     "align-vec-duplicate-token": (
         lambda p, mp: align_inputs(p, edit_src=edit_line(
             4, lambda line: "@ent:e0 " + line.split(" ", 1)[1])),

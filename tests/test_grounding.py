@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgalign.grounding import (RARE_TOKEN, GroundedCorpus, SurfaceFormIndex,
-                               build_index, ground_corpus, ground_tokens,
-                               grounding_stats, lexeme, load_pregrounded,
-                               write_grounded)
+from kgalign.embedding import RARE_TOKEN, encode_corpus, init_space, vocabulary
+from kgalign.grounding import (GroundedCorpus, SurfaceFormIndex, build_index,
+                               ground_corpus, ground_tokens, grounding_stats,
+                               lexeme, load_pregrounded, write_grounded)
 from kgalign.kg import from_string_triples
 
+from conftest import make_corpus, small_config
 from oracles import naive_grounding_stats
 
 
@@ -87,7 +89,7 @@ class TestGroundCorpus:
         corpus_file.write_text("alpha meets big b\nalpha again\n",
                                encoding="utf-8")
         index = build_index(forms, tiny_kg)
-        corpus, stats = ground_corpus(corpus_file, index, tiny_kg, min_freq=1)
+        corpus, stats = ground_corpus(corpus_file, index, tiny_kg)
         assert [t.text for t in corpus.documents[0]] == \
             ["@ent:a", "meets", "@ent:b"]
         assert stats.coverage == pytest.approx(2 / 5)
@@ -102,20 +104,37 @@ class TestGroundCorpus:
                                encoding="utf-8")
         index = build_index(forms, tiny_kg)
         with pytest.raises(ValueError, match="corpus.txt: line 2: .*@ent:a"):
-            ground_corpus(corpus_file, index, tiny_kg, min_freq=1)
+            ground_corpus(corpus_file, index, tiny_kg)
 
     def test_rare_lexemes_fold_to_unk(self):
+        # training decides the vocabulary: grounding keeps every word
         docs = [[lexeme(w) for w in "x x x y".split()]]
-        corpus = GroundedCorpus(lang="xx", documents=docs, min_freq=2)
-        assert corpus.lexicon == {"x": 3, RARE_TOKEN: 1}
-        assert corpus.lexeme_of(docs[0][3]) == RARE_TOKEN
+        corpus = GroundedCorpus(docs)
+        assert vocabulary(corpus, 2) == ("x", RARE_TOKEN)
+        assert vocabulary(corpus, 1) == ("x", "y")
+        # <unk> counts every folded occurrence and a literal <unk>, and
+        # ties keep the order of first appearance
+        assert vocabulary(make_corpus([["x", "x", "y", "z", RARE_TOKEN]]),
+                          2) == (RARE_TOKEN, "x")
+        assert vocabulary(make_corpus([[RARE_TOKEN, "a", "b", RARE_TOKEN,
+                                        "b", "c", "c", "c"]]),
+                          2) == (RARE_TOKEN, "c", "b")
         # the document itself keeps the original text
         assert corpus.reconstruct(0) == ["x", "x", "x", "y"]
 
-    def test_lexicon_counts_match_corpus(self, tiny_corpus):
+    def test_lexicon_counts_match_corpus(self, tiny_kg, tiny_corpus):
+        # every lexeme occurrence gets a row: its own word's, or <unk>'s
         texts = [t.text for doc in tiny_corpus.documents for t in doc
                  if not t.is_entity]
-        assert sum(tiny_corpus.lexicon.values()) == len(texts)
+        for min_freq in (1, 2):
+            space = init_space(tiny_kg, tiny_corpus,
+                               small_config(min_freq=min_freq),
+                               np.random.default_rng(0))
+            rows = np.concatenate(encode_corpus(tiny_corpus, space))
+            assert [space.lexemes[r - space.n_entities] for r in rows
+                    if r >= space.n_entities] == \
+                [w if w in space.lexemes else RARE_TOKEN for w in texts]
+            assert (RARE_TOKEN in space.lexemes) == (min_freq == 2)
 
     def test_stats_match_naive_oracle(self, tmp_path):
         import numpy as np
@@ -132,7 +151,7 @@ class TestGroundCorpus:
         corpus_file = tmp_path / "c.txt"
         corpus_file.write_text("\n".join(docs) + "\n", encoding="utf-8")
         index = build_index(forms_file, kg)
-        corpus, stats = ground_corpus(corpus_file, index, kg, min_freq=1)
+        corpus, stats = ground_corpus(corpus_file, index, kg)
         mentions = naive_grounding_stats(docs, forms)
         covered = [e for e in kg.entities if mentions.get(e)]
         assert stats.coverage == pytest.approx(len(covered) / 20)

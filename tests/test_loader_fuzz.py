@@ -3,11 +3,14 @@ consistent result or raises a ValueError that names the file, no text
 makes a loader run long, and every loader names the file and line of a
 byte that is not UTF-8."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgalign.alignment import load_seed_pairs, load_state
+from kgalign.alignment import (AlignmentSpace, AlignmentState,
+                               load_seed_pairs, load_state, save_state)
 from kgalign.config import parse_config_file
 from kgalign.embedding import read_embeddings
 from kgalign.grounding import (SurfaceFormIndex, build_index, ground_corpus,
@@ -66,6 +69,66 @@ def test_load_seed_pairs_loads_or_names_the_file(tmp_path_factory, text):
             return
     assert all(len(pair) == 2 and "\t" not in pair[0] + pair[1]
                and "\n" not in pair[0] + pair[1] for pair in pairs)
+
+
+def apply_edit(data, kind, side, i, j, value):
+    """Edit `kind` of one side of a parsed state file at the positions `i`
+    and `j`, taken modulo the length.  A renamed item becomes `value`; a
+    non-finite cell is `value` if that is "inf" or "-inf", else nan."""
+    items, rows = data[side]["items"], data[side]["vectors"]
+    if kind == "drop-item" and items:
+        del items[i % len(items)]
+    elif kind == "duplicate-item" and items:
+        items[i % len(items)] = items[j % len(items)]
+    elif kind == "rename-item" and items:
+        items[i % len(items)] = value
+    elif kind == "add-row":
+        rows.insert(i % (len(rows) + 1), list(rows[j % len(rows)])
+                    if rows else [0.5])
+    elif kind == "drop-row" and rows:
+        del rows[i % len(rows)]
+    elif kind == "shorten-row" and rows and rows[i % len(rows)]:
+        row = rows[i % len(rows)]
+        del row[j % len(row)]
+    elif kind == "non-finite" and rows and rows[i % len(rows)]:
+        row = rows[i % len(rows)]
+        row[j % len(row)] = float(value if value in ("inf", "-inf") else "nan")
+
+
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["drop-item", "duplicate-item", "rename-item", "add-row",
+                     "drop-row", "shorten-row", "non-finite"]),
+    st.sampled_from(["source", "target"]), st.integers(0, 20),
+    st.integers(0, 20),
+    st.one_of(st.sampled_from(["inf", "-inf", "@ent:e0", "w0", "", None]),
+              st.text(max_size=3))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS)
+def test_load_state_checks_each_side(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzz_state.json"
+    rng = np.random.default_rng(0)
+    items = tuple(f"@ent:e{i}" for i in range(5)) + ("w0", "w1")
+    save_state(AlignmentState(
+        source=AlignmentSpace(items, rng.standard_normal((7, 3))),
+        target=AlignmentSpace(items, rng.standard_normal((7, 3))),
+        ent_pairs=[("e0", "e0")], transform=np.eye(3)), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for edit in edits:
+        apply_edit(data, *edit)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with time_limit(10):
+        try:
+            state = load_state(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            return
+    for space in (state.source, state.target):
+        assert len(space.items) == len(space.vectors)
+        assert len(set(space.items)) == len(space.items)
+        assert np.isfinite(space.vectors).all()
 
 
 KG = from_string_triples([("a", "r", "b")], "xx")

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,38 @@ class TestCli:
         for suffix in (".vec", ".rel.vec"):
             assert (tmp_path / f"flag{suffix}").read_bytes() == \
                 (tmp_path / f"layers{suffix}").read_bytes()
+
+    def test_staged_ground_and_train_reproduce_run(self, bench, tmp_path):
+        """`ground` then `train` write the source `.grounded` and `.vec`
+        files of a `run` at the same seed, on a corpus with words below
+        `min_freq` and a literal `<unk>`."""
+        bench_dir = tmp_path / "bench"
+        shutil.copytree(bench.gold_entities.parent, bench_dir)
+        with open(bench_dir / "src.corpus", "a", encoding="utf-8") as fh:
+            fh.write("once <unk> twice sw0\nsw1 twice\n")
+        cfg_file = tmp_path / "quick.cfg"
+        cfg_file.write_text("dim = 16\nepochs = 20\nbatch_size = 32\n"
+                            "min_freq = 2\n")
+        runner = CliRunner()
+        for args in (
+                ["run", "--bench", bench_dir, "--out", tmp_path / "run",
+                 "--config", cfg_file, "--seed", "4"],
+                ["ground", "--kg", bench_dir / "src.triples",
+                 "--forms", bench_dir / "src.forms",
+                 "--corpus", bench_dir / "src.corpus",
+                 "--out", tmp_path / "src.grounded"],
+                ["train", "--kg", bench_dir / "src.triples",
+                 "--grounded", tmp_path / "src.grounded",
+                 "--config", cfg_file, "--seed", "4",
+                 "--out", tmp_path / "src_emb"]):
+            res = runner.invoke(cli, [str(a) for a in args])
+            assert res.exit_code == 0, res.output
+        for name in ("src.grounded", "src_emb.vec", "src_emb.rel.vec"):
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes(), name
+        tokens, _ = embedding.read_embeddings(tmp_path / "src_emb.vec")
+        assert "<unk>" in tokens and "twice" in tokens
+        assert "once" not in tokens
 
     def test_config_file_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"

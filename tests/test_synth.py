@@ -95,7 +95,7 @@ class TestGeneration:
                                    out_dir=tmp_path)
         kg = load_kg(paths.src_triples, "src")
         index = build_index(paths.src_forms, kg)
-        _, stats = ground_corpus(paths.src_corpus, index, kg, min_freq=1)
+        _, stats = ground_corpus(paths.src_corpus, index, kg)
         assert stats.coverage > 0.95
         assert stats.avg_match >= 1.0
 
