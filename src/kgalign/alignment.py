@@ -53,7 +53,13 @@ class AlignmentSpace:
 
     @classmethod
     def from_file(cls, path) -> "AlignmentSpace":
+        """The space of a `.vec` file; a zero row, which has no direction
+        to align, raises a ValueError with the file and line."""
         tokens, mat = read_embeddings(path)
+        zero = np.flatnonzero(~mat.any(axis=1))
+        if len(zero):
+            raise ValueError(f"{path}: line {zero[0] + 2}: zero-norm vector "
+                             f"for {tokens[zero[0]]!r}")
         return cls(items=tuple(tokens), vectors=unit_rows(mat))
 
 
@@ -291,7 +297,7 @@ def save_state(state: AlignmentState, path) -> None:
 
 def _space_of(side: str, payload) -> AlignmentSpace:
     """One side of a saved state: unique string items, each with one
-    finite vector row, the rows of one width."""
+    finite vector row that is not all zeros, the rows of one width."""
     items, rows = payload["items"], payload["vectors"]
     try:
         vectors = np.array(rows, dtype=float)
@@ -310,6 +316,9 @@ def _space_of(side: str, payload) -> AlignmentSpace:
     elif not np.isfinite(vectors).all():
         bad = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
         problem = f"vector of {items[bad]!r} has a non-finite value"
+    elif not vectors.any(axis=1).all():
+        bad = int(np.flatnonzero(~vectors.any(axis=1))[0])
+        problem = f"vector of {items[bad]!r} has zero norm"
     else:
         return AlignmentSpace(tuple(items), vectors)
     raise ValueError(f"{side} {problem}")

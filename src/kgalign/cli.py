@@ -113,11 +113,10 @@ def synth_cmd(out_dir, seed, **params):
 @click.option("--forms", required=True, type=click.Path(exists=True))
 @click.option("--corpus", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--lang", default="xx", show_default=True)
 @click.option("--no-case-fold", is_flag=True)
-def ground_cmd(kg_path, forms, corpus, out, lang, no_case_fold):
+def ground_cmd(kg_path, forms, corpus, out, no_case_fold):
     """Ground a corpus against KG surface forms."""
-    graph = kg.load_kg(kg_path, lang)
+    graph = kg.load_kg(kg_path, "xx")  # grounding reads no language tag
     index = grounding.build_index(forms, graph, case_fold=not no_case_fold)
     grounded, stats = grounding.ground_corpus(corpus, index, graph)
     grounding.write_grounded(grounded, out)

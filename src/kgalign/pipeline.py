@@ -6,6 +6,8 @@ seed reproduce identical files.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from .grounding import ENTITY_PREFIX
 from .synth import BenchmarkPaths
 
 TGT_SEED_OFFSET = 1_000_003  # decorrelates the two training streams
+TRAIN_MESSAGE = "stage train: joint KG+text embedding learning"
 
 
 @dataclass
@@ -64,14 +67,58 @@ def ground_stage(paths: BenchmarkPaths, log=_quiet):
     return tuple(grounded)
 
 
+def train_workers(n_jobs: int) -> int:
+    """Processes that train `n_jobs` jobs: one a job, up to the cores
+    this process may run on."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(n_jobs, cores)
+
+
+# the (KG, corpus) of each side while `train_spaces` runs: a module
+# variable, so that forked workers inherit it instead of unpickling it
+_grounded = None
+
+
+def _train_job(job):
+    optimizer, side, seed = job
+    graph, corpus = _grounded[side]
+    space, _ = embedding.train(graph, corpus, optimizer, seed)
+    return space
+
+
+def train_spaces(optimizers, grounded, seed: int):
+    """{optimizer config: (source space, target space)} of each of the
+    distinct `optimizers`, which may be iterated twice.  Each (config,
+    side) job trains in its own `fork` worker, up to `train_workers`
+    at once, or in this process with one worker or without `fork`; the
+    sides of a language pair are independent, so both give the same
+    bytes.  The workers inherit `grounded` and send back only the
+    trained spaces, and all have exited when this returns or raises."""
+    global _grounded
+    jobs = [(optimizer, side, seed + side * TGT_SEED_OFFSET)
+            for optimizer in optimizers for side in (0, 1)]
+    workers = train_workers(len(jobs))
+    _grounded = grounded
+    try:
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            # kgalign starts no thread, and OpenBLAS stops its own at
+            # fork; imap raises the error of the first failing job in job
+            # order, as map does; leaving the block terminates and joins
+            # the workers
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                spaces = list(pool.imap(_train_job, jobs))
+        else:
+            spaces = list(map(_train_job, jobs))
+    finally:
+        _grounded = None
+    return dict(zip(optimizers, zip(spaces[0::2], spaces[1::2])))
+
+
 def train_stage(cfg: PipelineConfig, grounded, seed: int, log=_quiet):
     """The trained source and target embedding spaces."""
-    log("stage train: joint KG+text embedding learning")
-    (src_kg, src_corpus), (tgt_kg, tgt_corpus) = grounded
-    src_space, _ = embedding.train(src_kg, src_corpus, cfg.optimizer, seed)
-    tgt_space, _ = embedding.train(tgt_kg, tgt_corpus, cfg.optimizer,
-                                   seed + TGT_SEED_OFFSET)
-    return src_space, tgt_space
+    log(TRAIN_MESSAGE)
+    return train_spaces([cfg.optimizer], grounded, seed)[cfg.optimizer]
 
 
 def _check_pairs(kind: str, pairs, source: AlignmentSpace,
@@ -195,16 +242,20 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
                       log=_quiet) -> dict[str, EvalReport]:
     """Each ablation's run in its own directory under `out_dir`.  The
     corpora are grounded once, and each distinct optimizer config is
-    trained once, when a setting first needs it."""
+    trained once, all of them at once before any setting is aligned; the
+    log names the train stage where a setting first needs it."""
     configs = {name: ablation_config(base, name)
                for name in names or ABLATIONS}
     grounded = ground_stage(paths, log)
-    spaces = {}
+    spaces = train_spaces(dict.fromkeys(c.optimizer for c in configs.values()),
+                          grounded, seed)
+    announced = set()
     reports = {}
     for name, cfg in configs.items():
         log(f"== ablation: {name} ==")
-        if cfg.optimizer not in spaces:
-            spaces[cfg.optimizer] = train_stage(cfg, grounded, seed, log)
+        if cfg.optimizer not in announced:
+            announced.add(cfg.optimizer)
+            log(TRAIN_MESSAGE)
         reports[name] = _align_and_evaluate(
             cfg, paths, grounded, spaces[cfg.optimizer],
             Path(out_dir) / name, seed, log).report

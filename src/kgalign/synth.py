@@ -15,6 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
+
+# random draws allowed per triple wanted, so that a graph too dense to fill
+# by rejection sampling fails instead of running on
+DRAWS_PER_TRIPLE = 100
+
 
 @dataclass(frozen=True)
 class BenchmarkParams:
@@ -31,15 +37,31 @@ class BenchmarkParams:
 
     def __post_init__(self):
         if self.n_entities < 20:
-            raise ValueError("need at least 20 entities")
+            raise ConfigError("n_entities must be >= 20")
         if self.n_triples < self.n_entities:
-            raise ValueError("need at least as many triples as entities")
+            raise ConfigError("n_triples must be >= n_entities")
+        for name in ("n_relations", "n_common_concepts", "signature_size",
+                     "seed_lexicon_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not (0 <= self.edge_drop <= 1):
-            raise ValueError("edge_drop must lie in [0, 1]")
+            raise ConfigError("edge_drop must lie in [0, 1]")
         if self.concept_skew < 0:
-            raise ValueError("concept_skew must be >= 0")
-        if self.seed_lexicon_size < 1:
-            raise ValueError("seed_lexicon_size must be >= 1")
+            raise ConfigError("concept_skew must be >= 0")
+        # the target side draws a fresh triple for each dropped one
+        needed = self.n_triples + round(self.edge_drop * self.n_triples)
+        possible = self.n_entities * (self.n_entities - 1) * self.n_relations
+        if needed > possible:
+            raise ConfigError(
+                f"n_triples {self.n_triples} and their edge_drop "
+                f"replacements need {needed} distinct triples, but "
+                f"n_entities {self.n_entities} and n_relations "
+                f"{self.n_relations} allow {possible}")
+        if self.signature_size - 1 > self.n_common_concepts:
+            raise ConfigError(
+                f"signature_size {self.signature_size} takes "
+                f"{self.signature_size - 1} distinct common concepts, more "
+                f"than n_common_concepts {self.n_common_concepts}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +87,12 @@ class BenchmarkPaths:
         )
 
 
+def _too_dense(side: str, draws: int) -> ConfigError:
+    return ConfigError(
+        f"{draws} random draws did not find the {side} triples; lower "
+        f"n_triples or edge_drop, or raise n_entities or n_relations")
+
+
 def _source_triples(params: BenchmarkParams,
                     rng: np.random.Generator) -> list[tuple[int, int, int]]:
     """Preferential-attachment triples over entity indices."""
@@ -88,12 +116,16 @@ def _source_triples(params: BenchmarkParams,
         j = int(rng.choice(i, p=probs))
         r = int(rng.integers(params.n_relations))
         add(i, r, j)
-    while len(ordered) < total:
+    for _ in range(DRAWS_PER_TRIPLE * total):
+        if len(ordered) == total:
+            break
         h = int(rng.integers(n))
         probs = degree / degree.sum()
         t = int(rng.choice(n, p=probs))
         r = int(rng.integers(params.n_relations))
         add(h, r, t)
+    if len(ordered) < total:
+        raise _too_dense("source", DRAWS_PER_TRIPLE * total)
     return ordered
 
 
@@ -110,13 +142,17 @@ def _corrupt_triples(src: list[tuple[int, int, int]],
     kept = [t for t, k in zip(mapped, keep_mask) if k]
     # forbid re-creating dropped originals so exactly n_drop are replaced
     forbidden = set(mapped) | set(kept)
-    while len(kept) < len(mapped):
+    for _ in range(DRAWS_PER_TRIPLE * len(mapped)):
+        if len(kept) == len(mapped):
+            break
         h = int(rng.integers(params.n_entities))
         t = int(rng.integers(params.n_entities))
         r = int(rng.integers(params.n_relations))
         if h != t and (h, r, t) not in forbidden:
             forbidden.add((h, r, t))
             kept.append((h, r, t))
+    if len(kept) < len(mapped):
+        raise _too_dense("target", DRAWS_PER_TRIPLE * len(mapped))
     return kept
 
 

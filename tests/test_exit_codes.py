@@ -152,7 +152,8 @@ def align_with_failing_svd(tmp_path, monkeypatch):
 CASES = {
     "align-valid": (lambda p, mp: align_inputs(p), 0, ""),
     "align-zero-input-row": (
-        lambda p, mp: align_inputs(p, zero_row=True), 1, "error: zero-norm"),
+        lambda p, mp: align_inputs(p, zero_row=True), 1,
+        "src.vec: line 7: zero-norm vector for '@ent:e5'"),
     "align-max-iterations-0": (
         lambda p, mp: align_inputs(p) + ["--max-iterations", 0], 1,
         "max_iterations"),
@@ -171,6 +172,12 @@ CASES = {
     "run-zero-trained-row": (
         lambda p, mp: run_inputs(p, "dim = 1\nepochs = 1\nmin_freq = 1\n"),
         2, "numerical failure: trained src space has"),
+    # a worker's divergence reaches the entry point (one worker a side
+    # where two cores are usable)
+    "run-training-diverges": (
+        lambda p, mp: run_inputs(p, "dim = 8\nepochs = 30\nbatch_size = 32\n"
+                                 "min_freq = 1\n"),
+        2, "numerical failure: trained src space has 1 all-zero"),
     "train-zero-trained-row": (
         lambda p, mp: train_inputs(p, "dim = 1\nepochs = 1\nmin_freq = 1\n"),
         2, "numerical failure: trained xx space has"),
@@ -223,6 +230,18 @@ CASES = {
             lambda d: d["source"]["vectors"][2].__setitem__(1, float("nan")))),
         1, "saved.json: malformed state file: source vector of '@ent:e2' has "
         "a non-finite value"),
+    # a zero row has no direction: CSLS cannot score it, and L2 would
+    "eval-state-zero-row": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["source"]["vectors"].__setitem__(3, [0, 0, 0]))),
+        1, "saved.json: malformed state file: source vector of '@ent:e3' has "
+        "zero norm"),
+    "eval-state-zero-row-l2": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["target"]["vectors"].__setitem__(9, [0.0, 0, -0.0])))
+        + ["--metric", "l2"],
+        1, "saved.json: malformed state file: target vector of 'w1' has zero "
+        "norm"),
     # test pairs follow the rule of seed pairs
     "eval-test-unknown-source": (
         lambda p, mp: eval_inputs(p, lambda text: text, test="zz\te3\n"), 1,
@@ -290,6 +309,15 @@ CASES = {
         lambda p, mp: with_bad_byte(pregrounded_inputs(p, "@ent:a w\n"),
                                     p / "kg.tsv", 2), 1,
         "kg.tsv: line 2: byte b'\\xff' is not UTF-8"),
+    # `synth` checks that its triples can be drawn before drawing them
+    "synth-more-triples-than-possible": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--entities", 20,
+                       "--triples", 400, "--relations", 1], 1,
+        "n_triples 400 and their edge_drop replacements need 420 distinct "
+        "triples, but n_entities 20 and n_relations 1 allow 380"),
+    "synth-relations-0": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--relations", 0], 1,
+        "error: n_relations must be >= 1"),
     "run-stop-frac-above-1": (
         lambda p, mp: run_inputs(p, "dim = 4\nepochs = 1\nmin_freq = 1\n")
         + ["--stop-frac", 5], 1, "stop_fraction"),
@@ -307,3 +335,5 @@ def test_exit_code(tmp_path, monkeypatch, capsys, build, code, message):
         assert (tmp_path / "state.json").exists() == (code == 0)
     if args[0] == "train":
         assert (tmp_path / "emb.vec").exists() == (code == 0)
+    if args[0] == "synth":
+        assert (tmp_path / "bench").exists() == (code == 0)

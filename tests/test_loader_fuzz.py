@@ -74,7 +74,8 @@ def test_load_seed_pairs_loads_or_names_the_file(tmp_path_factory, text):
 def apply_edit(data, kind, side, i, j, value):
     """Edit `kind` of one side of a parsed state file at the positions `i`
     and `j`, taken modulo the length.  A renamed item becomes `value`; a
-    non-finite cell is `value` if that is "inf" or "-inf", else nan."""
+    non-finite cell is `value` if that is "inf" or "-inf", else nan; a
+    zeroed row keeps its width."""
     items, rows = data[side]["items"], data[side]["vectors"]
     if kind == "drop-item" and items:
         del items[i % len(items)]
@@ -93,11 +94,13 @@ def apply_edit(data, kind, side, i, j, value):
     elif kind == "non-finite" and rows and rows[i % len(rows)]:
         row = rows[i % len(rows)]
         row[j % len(row)] = float(value if value in ("inf", "-inf") else "nan")
+    elif kind == "zero-row" and rows:
+        rows[i % len(rows)] = [0.0] * len(rows[i % len(rows)])
 
 
 EDITS = st.lists(st.tuples(
     st.sampled_from(["drop-item", "duplicate-item", "rename-item", "add-row",
-                     "drop-row", "shorten-row", "non-finite"]),
+                     "drop-row", "shorten-row", "non-finite", "zero-row"]),
     st.sampled_from(["source", "target"]), st.integers(0, 20),
     st.integers(0, 20),
     st.one_of(st.sampled_from(["inf", "-inf", "@ent:e0", "w0", "", None]),
@@ -129,6 +132,7 @@ def test_load_state_checks_each_side(tmp_path_factory, edits):
         assert len(space.items) == len(space.vectors)
         assert len(set(space.items)) == len(space.items)
         assert np.isfinite(space.vectors).all()
+        assert space.vectors.any(axis=1).all()
 
 
 KG = from_string_triples([("a", "r", "b")], "xx")

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import shutil
 from dataclasses import replace
 
@@ -9,12 +11,13 @@ from click.testing import CliRunner
 from kgalign import alignment, embedding, pipeline
 from kgalign.cli import ABLATION_FLAGS, cli
 from kgalign.config import ConfigError, OptimizerConfig, PipelineConfig
+from kgalign.embedding import TrainingDivergence
 from kgalign.pipeline import (ABLATIONS, ablation_config,
                               format_ablation_table, run_ablation_grid,
                               run_pipeline, split_gold)
 from kgalign.synth import BenchmarkParams, generate_benchmark
 
-from conftest import main_exit_code
+from conftest import main_exit_code, time_limit
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,8 @@ class TestAblations:
             return train(kg, corpus, cfg, seed)
 
         monkeypatch.setattr(embedding, "train", counting_train)
+        # the list sees only the training done in this process
+        monkeypatch.setattr(pipeline, "train_workers", lambda n_jobs: 1)
         names = ["full", "no_gcn", "no_self_learning", "l2_metric"]
         run_ablation_grid(quick_config(), bench, tmp_path / "grid", seed=0,
                           names=names)
@@ -188,6 +193,64 @@ class TestAblations:
             for artifact in ARTIFACTS:
                 assert ((tmp_path / "grid" / name / artifact).read_bytes()
                         == (tmp_path / "alone" / name / artifact).read_bytes())
+
+
+class TestTrainingPool:
+    def test_one_worker_a_job_up_to_the_usable_cores(self):
+        cores = len(os.sched_getaffinity(0))
+        assert pipeline.train_workers(1) == 1
+        assert pipeline.train_workers(2) == min(2, cores)
+        assert pipeline.train_workers(100) == cores
+
+    def test_pooled_and_in_process_training_write_the_same_bytes(
+            self, bench, tmp_path, monkeypatch):
+        """Worker processes and this process train the same spaces, so
+        `run` and the grid write the same files either way."""
+        pids = tmp_path / "pids"
+        train = embedding.train
+
+        def recording_train(kg, corpus, cfg, seed):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return train(kg, corpus, cfg, seed)
+
+        monkeypatch.setattr(embedding, "train", recording_train)
+        names = ["full", "no_gcn", "no_self_learning", "no_text"]
+        trainers = {}
+        for mode, workers in (("pooled", 2), ("in_process", 1)):
+            monkeypatch.setattr(pipeline, "train_workers",
+                                lambda n_jobs: min(n_jobs, workers))
+            with time_limit(120):
+                run_pipeline(quick_config(), bench, tmp_path / mode / "run",
+                             seed=3)
+                run_ablation_grid(quick_config(), bench,
+                                  tmp_path / mode / "grid", seed=3,
+                                  names=names)
+            trainers[mode] = set(pids.read_text().split())
+            pids.unlink()
+        assert trainers["in_process"] == {str(os.getpid())}
+        assert trainers["pooled"] and str(os.getpid()) not in trainers["pooled"]
+        for directory in ["run", *(f"grid/{name}" for name in names)]:
+            for artifact in ARTIFACTS:
+                path = f"{directory}/{artifact}"
+                assert (tmp_path / "pooled" / path).read_bytes() == \
+                    (tmp_path / "in_process" / path).read_bytes(), path
+
+    def test_no_worker_outlives_a_run(self, bench, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "train_workers",
+                            lambda n_jobs: min(n_jobs, 2))
+        with time_limit(60):
+            run_pipeline(quick_config(), bench, tmp_path / "ok", seed=0)
+        assert multiprocessing.active_children() == []
+        # the ReLU GCN zeroes a source entity row of this config, so the
+        # source job raises while the target job may still be training
+        diverging = PipelineConfig(optimizer=OptimizerConfig.desk_scale(
+            dim=8, epochs=30, batch_size=32, min_freq=1))
+        with time_limit(60), pytest.raises(TrainingDivergence,
+                                           match="trained src space"):
+            run_pipeline(diverging, bench, tmp_path / "diverges", seed=0)
+        assert multiprocessing.active_children() == []
+        assert pipeline._grounded is None
 
 
 class TestCli:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgalign import synth
 from kgalign.alignment import load_seed_pairs
-from kgalign.config import OptimizerConfig, PipelineConfig
+from kgalign.config import ConfigError, OptimizerConfig, PipelineConfig
 from kgalign.grounding import build_index, ground_corpus
 from kgalign.kg import load_kg
 from kgalign.pipeline import run_pipeline
 from kgalign.synth import BenchmarkParams, generate_benchmark
+
+from conftest import time_limit
 
 
 def small_params(**overrides):
@@ -25,6 +30,22 @@ class TestParams:
     def test_too_few_triples_rejected(self):
         with pytest.raises(ValueError):
             BenchmarkParams(n_entities=100, n_triples=50)
+
+
+    @pytest.mark.parametrize("draws, side, params", [
+        (1, "source", dict(n_triples=362)),
+        (2, "target", dict(n_triples=190, edge_drop=1.0)),
+    ])
+    def test_draw_loops_are_bounded(self, tmp_path, monkeypatch, draws, side,
+                                    params):
+        """Each rejection-sampling loop gives up after its draw budget:
+        on 20 entities and 1 relation, 380 triples are possible."""
+        monkeypatch.setattr(synth, "DRAWS_PER_TRIPLE", draws)
+        with time_limit(10), pytest.raises(
+                ConfigError, match=f"did not find the {side} triples"):
+            generate_benchmark(BenchmarkParams(
+                n_entities=20, n_relations=1, n_walks=5, **params),
+                seed=0, out_dir=tmp_path)
 
 
 class TestGeneration:
@@ -115,3 +136,27 @@ class TestGeneration:
         # every seed-lexicon word occurs on both sides of the pair
         assert {s for s, _ in gold_lex} <= src_words
         assert {t for _, t in gold_lex} <= tgt_words
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_entities=st.integers(20, 24), n_triples=st.integers(20, 800),
+       n_relations=st.integers(0, 2),
+       edge_drop=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       n_common_concepts=st.integers(0, 4), signature_size=st.integers(0, 6))
+def test_small_params_generate_or_name_a_field(tmp_path_factory, **fields):
+    """Each small benchmark is either generated in time or rejected with
+    a ConfigError that names a parameter."""
+    out = tmp_path_factory.mktemp("synth")
+    with time_limit(10):
+        try:
+            params = BenchmarkParams(n_walks=5, walk_length=3,
+                                     seed_lexicon_size=2, **fields)
+            paths = generate_benchmark(params, seed=0, out_dir=out)
+        except ConfigError as exc:
+            assert any(name in str(exc) for name in
+                       ("n_entities", "n_triples", "n_relations",
+                        "n_common_concepts", "signature_size")), exc
+            return
+    src = load_kg(paths.src_triples, "src")
+    tgt = load_kg(paths.tgt_triples, "tgt")
+    assert len(src.triples) == len(tgt.triples) == params.n_triples
