@@ -51,6 +51,16 @@ class AlignmentSpace:
     def n_entities(self) -> int:
         return int(self.entity_mask.sum())
 
+    def entity_rows(self, ids) -> np.ndarray:
+        """The row of each entity id; an id the space lacks raises
+        `KeyError: unknown entity id`."""
+        try:
+            return np.array([self.index[ENTITY_PREFIX + e] for e in ids],
+                            dtype=np.int64)
+        except KeyError as exc:
+            unknown = exc.args[0][len(ENTITY_PREFIX):]
+            raise KeyError(f"unknown entity id {unknown!r}") from None
+
     @classmethod
     def from_file(cls, path) -> "AlignmentSpace":
         """The space of a `.vec` file; a zero row, which has no direction
@@ -75,19 +85,16 @@ class AlignmentState:
     lexeme_top_f: int = 10000
 
     def pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (X, Y) vectors of all current pairs, entities + lexemes."""
-        xs, ys = [], []
-        for s, t in self.ent_pairs:
-            xs.append(self.source.vectors[self.source.index[ENTITY_PREFIX + s]])
-            ys.append(self.target.vectors[self.target.index[ENTITY_PREFIX + t]])
-        for s, t in self.lex_pairs:
-            si = self.source.index.get(s)
-            ti = self.target.index.get(t)
-            if si is None or ti is None:
-                continue
-            xs.append(self.source.vectors[si])
-            ys.append(self.target.vectors[ti])
-        return np.array(xs), np.array(ys)
+        """Stacked (X, Y) vectors of all current pairs, entities + lexemes;
+        a lexeme pair naming an item either side lacks is left out."""
+        src, tgt = self.source, self.target
+        lex = np.array([(src.index[s], tgt.index[t]) for s, t in self.lex_pairs
+                        if s in src.index and t in tgt.index],
+                       dtype=np.int64).reshape(-1, 2)
+        ent_src = src.entity_rows([s for s, _ in self.ent_pairs])
+        ent_tgt = tgt.entity_rows([t for _, t in self.ent_pairs])
+        return (src.vectors[np.r_[ent_src, lex[:, 0]]],
+                tgt.vectors[np.r_[ent_tgt, lex[:, 1]]])
 
 
 def procrustes_solve(pairs_x: np.ndarray, pairs_y: np.ndarray) -> np.ndarray:
@@ -115,17 +122,6 @@ def _topk_mean(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
     return part[tuple(sl)].mean(axis=axis)
 
 
-def cosine_matrix(mapped_src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    return unit_rows(mapped_src) @ unit_rows(tgt).T
-
-
-def csls_matrix(cos: np.ndarray, csls_k: int) -> np.ndarray:
-    """2*cos - mean top-k row similarity - mean top-k column similarity."""
-    r_src = _topk_mean(cos, csls_k, axis=1)
-    r_tgt = _topk_mean(cos, csls_k, axis=0)
-    return 2.0 * cos - r_src[:, None] - r_tgt[None, :]
-
-
 def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """-||a_i - b_j|| for every row pair, from the Gram form
     |a|^2 + |b|^2 - 2 a.b, without an (n, m, k) difference tensor."""
@@ -134,27 +130,36 @@ def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -np.sqrt(np.maximum(sq, 0.0))
 
 
-def _score_matrix(mapped_src: np.ndarray, tgt: np.ndarray,
-                  q: NeighborQuery) -> np.ndarray:
-    """Similarity matrix, higher is better, under the query's metric."""
-    if q.metric == "csls":
-        return csls_matrix(cosine_matrix(mapped_src, tgt), q.csls_k)
-    return neg_l2_matrix(mapped_src, tgt)
+def _score_matrix(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
+                  cand_ref: np.ndarray | None = None) -> np.ndarray:
+    """Score of every (query, candidate) row pair, higher is better, under
+    the query's metric.
+
+    CSLS is 2 cos(x, y) minus the mean cosine of x to its csls_k nearest
+    candidates, minus the mean cosine of y to its csls_k nearest rows of
+    `cand_ref`.  With no `cand_ref` the reference rows are the queries.
+    """
+    if q.metric != "csls":
+        return neg_l2_matrix(queries, cands)
+    cands = unit_rows(cands)
+    cos = unit_rows(queries) @ cands.T
+    r_query = _topk_mean(cos, q.csls_k, axis=1)
+    if cand_ref is None:
+        r_cand = _topk_mean(cos, q.csls_k, axis=0)
+    else:
+        r_cand = _topk_mean(cands @ unit_rows(cand_ref).T, q.csls_k, axis=1)
+    return 2.0 * cos - r_query[:, None] - r_cand[None, :]
 
 
-def _candidate_indices(space: AlignmentSpace, aligned_entities: set[str],
+def _candidate_indices(space: AlignmentSpace, aligned_ids: list[str],
                        top_f: int) -> np.ndarray:
-    """Unaligned entities plus the top-F most frequent lexemes."""
-    keep = []
-    n_lex_taken = 0
-    for i, item in enumerate(space.items):
-        if space.entity_mask[i]:
-            if item[len(ENTITY_PREFIX):] not in aligned_entities:
-                keep.append(i)
-        elif n_lex_taken < top_f:
-            keep.append(i)
-            n_lex_taken += 1
-    return np.array(keep, dtype=np.int64)
+    """Rows of the unaligned entities and of the top-F most frequent
+    lexemes, in ascending order."""
+    keep = space.entity_mask.copy()
+    keep[space.entity_rows(aligned_ids)] = False
+    lexemes = ~space.entity_mask
+    keep |= lexemes & (np.cumsum(lexemes) <= top_f)
+    return np.flatnonzero(keep)
 
 
 def propose_pairs(state: AlignmentState,
@@ -165,9 +170,9 @@ def propose_pairs(state: AlignmentState,
     limited to the top-F frequency cutoff.  A mutual pair survives only if
     both items have the same type; existing lexeme pairs are not re-proposed.
     """
-    src_idx = _candidate_indices(state.source, {s for s, _ in state.ent_pairs},
+    src_idx = _candidate_indices(state.source, [s for s, _ in state.ent_pairs],
                                  state.lexeme_top_f)
-    tgt_idx = _candidate_indices(state.target, {t for _, t in state.ent_pairs},
+    tgt_idx = _candidate_indices(state.target, [t for _, t in state.ent_pairs],
                                  state.lexeme_top_f)
     if len(src_idx) == 0 or len(tgt_idx) == 0:
         return []
@@ -240,34 +245,18 @@ def solve_once(state: AlignmentState) -> AlignmentState:
     return state
 
 
-def _entity_vectors(space: AlignmentSpace, ids: list[str]) -> np.ndarray:
-    rows = []
-    for e in ids:
-        idx = space.index.get(ENTITY_PREFIX + e)
-        if idx is None:
-            raise KeyError(f"unknown entity id {e!r}")
-        rows.append(idx)
-    return space.vectors[np.array(rows, dtype=np.int64)]
-
-
 def infer_batch(query_ids: list[str], state: AlignmentState,
                 q: NeighborQuery, candidate_ids: list[str]) -> np.ndarray:
     """Score matrix (queries x candidates), higher is better.
 
-    For CSLS, the target-side penalty of a candidate is computed against
-    all mapped source entities; the query-side penalty against the
-    candidate set.
+    For CSLS, the query-side penalty is taken over the candidate set and
+    the candidate-side penalty over all mapped source entities.
     """
-    qx = _entity_vectors(state.source, query_ids) @ state.transform.T
-    cand = _entity_vectors(state.target, candidate_ids)
-    if q.metric == "l2":
-        return neg_l2_matrix(qx, cand)
-    all_src = state.source.vectors[state.source.entity_mask] @ state.transform.T
-    cos = cosine_matrix(qx, cand)
-    r_query = _topk_mean(cos, q.csls_k, axis=1)
-    cos_cand_src = cosine_matrix(cand, all_src)
-    r_cand = _topk_mean(cos_cand_src, q.csls_k, axis=1)
-    return 2.0 * cos - r_query[:, None] - r_cand[None, :]
+    src, tgt = state.source, state.target
+    return _score_matrix(
+        src.vectors[src.entity_rows(query_ids)] @ state.transform.T,
+        tgt.vectors[tgt.entity_rows(candidate_ids)], q,
+        cand_ref=src.vectors[src.entity_mask] @ state.transform.T)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ def cli():
 
 _SYNTH_DEFAULTS = synth.BenchmarkParams()
 
+# numpy seeds its generators with non-negative integers only
+_seed_option = click.option("--seed", default=0, show_default=True,
+                            type=click.IntRange(min=0))
+
 # synth.BenchmarkParams fields in option order; the option of `n_walks` is
 # `--walks`, of `walk_length` `--walk-length`
 _SYNTH_FIELDS = ("n_entities", "n_triples", "n_relations", "edge_drop",
@@ -98,7 +102,7 @@ def _pipeline_config(config_path=None, **options) -> PipelineConfig:
     "--" + name.removeprefix("n_").replace("_", "-"), name,
     default=getattr(_SYNTH_DEFAULTS, name), show_default=True)
     for name in _SYNTH_FIELDS])
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 def synth_cmd(out_dir, seed, **params):
     """Generate a synthetic two-language benchmark."""
     params = synth.BenchmarkParams(**params)
@@ -128,7 +132,7 @@ def ground_cmd(kg_path, forms, corpus, out, no_case_fold):
 @click.option("--kg", "kg_path", required=True, type=click.Path(exists=True))
 @click.option("--grounded", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--out", "out_prefix", required=True, type=click.Path())
 @click.option("--lang", default="xx", show_default=True)
 @_with_ablation_flags(_TRAIN_ABLATIONS)
@@ -189,7 +193,7 @@ _run_options = [
                  help="benchmark directory produced by `kgalign synth`"),
     click.option("--out", "out_dir", required=True, type=click.Path()),
     click.option("--config", "config_path", type=click.Path(exists=True)),
-    click.option("--seed", default=0, show_default=True),
+    _seed_option,
     *_setting_options("metric", "csls_k", "stop_fraction", "seed_fraction",
                       "eval_p", "candidate_mode"),
 ]
@@ -205,17 +209,24 @@ def run_cmd(bench, out_dir, config_path, seed, **options):
     pipeline.run_pipeline(cfg, paths, out_dir, seed, log=click.echo)
 
 
+def _setting_names(ctx, param, value) -> list[str]:
+    names = [s.strip() for s in value.split(",") if s.strip()]
+    if not names:
+        raise click.BadParameter("names no ablation setting")
+    return names
+
+
 @cli.command("ablate")
 @_with_options(_run_options)
 @click.option("--settings", default=",".join(pipeline.ABLATIONS),
-              show_default=True, help="comma-separated ablation names")
+              show_default=True, callback=_setting_names,
+              help="comma-separated ablation names")
 def ablate_cmd(bench, out_dir, config_path, seed, settings, **options):
     """Run the ablation grid and print a comparison table."""
     cfg = _pipeline_config(config_path, **options)
     paths = synth.BenchmarkPaths.in_dir(bench)
-    names = [s.strip() for s in settings.split(",") if s.strip()]
     reports = pipeline.run_ablation_grid(cfg, paths, out_dir, seed,
-                                         names=names, log=click.echo)
+                                         names=settings, log=click.echo)
     click.echo(pipeline.format_ablation_table(reports))
 
 

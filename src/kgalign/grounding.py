@@ -47,7 +47,7 @@ class SurfaceFormIndex:
     """Prefix trie over normalized surface-form tokens.
 
     A full surface form maps to exactly one entity id; on collision the
-    first inserted entity wins and the collision is counted.
+    first inserted entity wins.
     """
 
     _ENTRY = object()  # sentinel key holding the entity id at a terminal node
@@ -55,25 +55,17 @@ class SurfaceFormIndex:
     def __init__(self, case_fold: bool = True):
         self.case_fold = case_fold
         self.root: dict = {}
-        self.n_forms = 0
-        self.collisions = 0
-        self.skipped_unknown = 0
 
     def normalize(self, token: str) -> str:
         return token.lower() if self.case_fold else token
 
-    def insert(self, surface_tokens: list[str], entity_id: str) -> bool:
+    def insert(self, surface_tokens: list[str], entity_id: str) -> None:
         if not surface_tokens:
             raise ValueError("empty surface form")
         node = self.root
         for tok in surface_tokens:
             node = node.setdefault(self.normalize(tok), {})
-        if self._ENTRY in node:
-            self.collisions += 1
-            return False
-        node[self._ENTRY] = entity_id
-        self.n_forms += 1
-        return True
+        node.setdefault(self._ENTRY, entity_id)
 
     def longest_match(self, tokens, start: int) -> tuple[str, int] | None:
         """Longest surface form matching tokens[start:]; (entity, length)."""
@@ -119,7 +111,7 @@ def build_index(forms_path, kg: KnowledgeGraph,
                 case_fold: bool = True) -> SurfaceFormIndex:
     """Load `entity-id<TAB>surface form` lines into a trie.
 
-    Unknown entity ids are skipped and counted; empty surface forms raise.
+    Unknown entity ids are skipped; empty surface forms raise.
     """
     index = SurfaceFormIndex(case_fold=case_fold)
     with open_text(forms_path) as fh:
@@ -137,10 +129,8 @@ def build_index(forms_path, kg: KnowledgeGraph,
             if not tokens:
                 raise ValueError(
                     f"{forms_path}: line {lineno}: empty surface form")
-            if ent not in kg.ent_index:
-                index.skipped_unknown += 1
-                continue
-            index.insert(tokens, ent)
+            if ent in kg.ent_index:
+                index.insert(tokens, ent)
     return index
 
 

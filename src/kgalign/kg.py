@@ -26,7 +26,6 @@ class KnowledgeGraph:
     entities: tuple[str, ...]
     relations: tuple[str, ...]
     triples: tuple[tuple[int, int, int], ...]
-    duplicate_count: int = 0
     ent_index: dict[str, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -56,14 +55,12 @@ def from_string_triples(string_triples, lang: str) -> KnowledgeGraph:
     rels: dict[str, int] = {}
     seen: set[tuple[int, int, int]] = set()
     triples: list[tuple[int, int, int]] = []
-    dups = 0
     for h, r, t in string_triples:
         hi = ents.setdefault(h, len(ents))
         ri = rels.setdefault(r, len(rels))
         ti = ents.setdefault(t, len(ents))
         key = (hi, ri, ti)
         if key in seen:
-            dups += 1
             continue
         seen.add(key)
         triples.append(key)
@@ -72,7 +69,6 @@ def from_string_triples(string_triples, lang: str) -> KnowledgeGraph:
         entities=tuple(ents),
         relations=tuple(rels),
         triples=tuple(triples),
-        duplicate_count=dups,
         ent_index=ents,
     )
 

@@ -245,7 +245,9 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
     trained once, all of them at once before any setting is aligned; the
     log names the train stage where a setting first needs it."""
     configs = {name: ablation_config(base, name)
-               for name in names or ABLATIONS}
+               for name in (ABLATIONS if names is None else names)}
+    if not configs:
+        raise ConfigError("no ablation setting to run")
     grounded = ground_stage(paths, log)
     spaces = train_spaces(dict.fromkeys(c.optimizer for c in configs.values()),
                           grounded, seed)

@@ -34,13 +34,17 @@ def cos(u, v):
     return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def brute_csls(mapped_sources, targets, k):
+def brute_csls(mapped_sources, targets, k, cand_ref=None):
     """Full CSLS score matrix by nested loops.
 
-    The hubness penalties depend only on one endpoint, so each is computed
-    once per row/column rather than per pair.
+    A target's hubness penalty is its mean cosine to its k nearest rows of
+    `cand_ref`, the mapped sources when it is None.  The penalties depend
+    only on one endpoint, so each is computed once per row/column rather
+    than per pair.
     """
-    ns, nt = len(mapped_sources), len(targets)
+    if cand_ref is None:
+        cand_ref = mapped_sources
+    ns, nt, nr = len(mapped_sources), len(targets), len(cand_ref)
     r_t = []
     for i in range(ns):
         sims = sorted((cos(mapped_sources[i], targets[t]) for t in range(nt)),
@@ -48,9 +52,9 @@ def brute_csls(mapped_sources, targets, k):
         r_t.append(float(np.mean(sims[:min(k, nt)])))
     r_s = []
     for j in range(nt):
-        sims = sorted((cos(targets[j], mapped_sources[s]) for s in range(ns)),
+        sims = sorted((cos(targets[j], cand_ref[s]) for s in range(nr)),
                       reverse=True)
-        r_s.append(float(np.mean(sims[:min(k, ns)])))
+        r_s.append(float(np.mean(sims[:min(k, nr)])))
     scores = np.zeros((ns, nt))
     for i in range(ns):
         for j in range(nt):
@@ -291,3 +295,39 @@ def stacked_pairs(documents, radius):
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(chunks, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Earlier CSLS kernels, kept as oracles: one for self-learning's proposal
+# step and one for evaluation.  The one scorer must reproduce each bit for
+# bit.
+
+def _unit(mat):
+    return mat / np.linalg.norm(mat, axis=1)[:, None]
+
+
+def _topk_mean(scores, k, axis):
+    n = scores.shape[axis]
+    k = min(k, n)
+    part = np.partition(scores, n - k, axis=axis)
+    sl = [slice(None)] * scores.ndim
+    sl[axis] = slice(n - k, n)
+    return part[tuple(sl)].mean(axis=axis)
+
+
+def proposal_csls(mapped_src, tgt, csls_k):
+    """2*cos - mean top-k row similarity - mean top-k column similarity."""
+    cos_st = _unit(mapped_src) @ _unit(tgt).T
+    r_src = _topk_mean(cos_st, csls_k, axis=1)
+    r_tgt = _topk_mean(cos_st, csls_k, axis=0)
+    return 2.0 * cos_st - r_src[:, None] - r_tgt[None, :]
+
+
+def evaluation_csls(queries, cands, all_src, csls_k):
+    """CSLS whose query penalty is taken over the candidates and whose
+    candidate penalty is taken over all mapped source entities."""
+    cos_qc = _unit(queries) @ _unit(cands).T
+    r_query = _topk_mean(cos_qc, csls_k, axis=1)
+    cos_cand_src = _unit(cands) @ _unit(all_src).T
+    r_cand = _topk_mean(cos_cand_src, csls_k, axis=1)
+    return 2.0 * cos_qc - r_query[:, None] - r_cand[None, :]

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from kgalign.alignment import (AlignmentSpace, AlignmentState, cosine_matrix,
-                               csls_matrix, infer_batch, load_state,
-                               procrustes_solve, propose_pairs, save_state,
-                               self_learn, solve_once, unit_rows)
+from kgalign.alignment import (AlignmentSpace, AlignmentState, _score_matrix,
+                               infer_batch, load_state, procrustes_solve,
+                               propose_pairs, save_state, self_learn,
+                               solve_once, unit_rows)
 from kgalign.config import ConfigError, NeighborQuery, OptimizerConfig
 from kgalign.embedding import TrainingDivergence, init_space, write_embeddings
 
 from conftest import make_corpus, random_kg
-from oracles import brute_csls, brute_mutual_nn, brute_rank, random_orthogonal
+from oracles import (brute_csls, brute_mutual_nn, brute_rank, evaluation_csls,
+                     proposal_csls, random_orthogonal)
 
 
 def space_from(entity_vecs, lexeme_vecs=None, prefix="e", lex_prefix="w"):
@@ -95,10 +96,14 @@ class TestProcrustes:
         assert np.linalg.norm(m.T @ m - np.eye(3)) < 1e-6
 
 
+def csls(k):
+    return NeighborQuery(metric="csls", csls_k=k)
+
+
 class TestCSLS:
     def test_degenerate_cloud_zero(self):
         cloud = np.tile([0.3, 0.4], (3, 1))
-        got = csls_matrix(cosine_matrix(cloud, cloud), 2)
+        got = _score_matrix(cloud, cloud, csls(2))
         np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -107,20 +112,32 @@ class TestCSLS:
         src = rng.standard_normal((3, 5))
         tgt = rng.standard_normal((3, 5))
         expected = brute_csls(src, tgt, k)
-        got = csls_matrix(cosine_matrix(src, tgt), k)
+        got = _score_matrix(src, tgt, csls(k))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         src = rng.standard_normal((4, 3))
         tgt = rng.standard_normal((4, 3))
-        a = csls_matrix(cosine_matrix(src, tgt), 2)
-        b = csls_matrix(cosine_matrix(src * 7.5, tgt * 0.2), 2)
+        a = _score_matrix(src, tgt, csls(2))
+        b = _score_matrix(src * 7.5, tgt * 0.2, csls(2))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            cosine_matrix(np.zeros((1, 2)), np.eye(2))
+            _score_matrix(np.zeros((1, 2)), np.eye(2), csls(2))
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_equals_earlier_kernels(self, k):
+        rng = np.random.default_rng(23)
+        queries = rng.standard_normal((30, 6))
+        cands = rng.standard_normal((25, 6))
+        ref = rng.standard_normal((35, 6))
+        assert np.array_equal(_score_matrix(queries, cands, csls(k)),
+                              proposal_csls(queries, cands, k))
+        assert np.array_equal(
+            _score_matrix(queries, cands, csls(k), cand_ref=ref),
+            evaluation_csls(queries, cands, ref, k))
 
 
 class TestProposePairs:
@@ -323,9 +340,9 @@ class TestInfer:
         state = AlignmentState(source=src, target=tgt,
                                ent_pairs=[("e0", "e0")])
         state.transform = np.eye(4)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown entity id 'nope'"):
             infer_batch(["nope"], state, NeighborQuery(), ["e0"])
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown entity id 'nope'"):
             infer_batch(["e0"], state, NeighborQuery(), ["nope"])
 
     def test_l2_ranking_matches_brute_force(self):
@@ -346,6 +363,28 @@ class TestInfer:
             expected = [ids[i] for i in
                         sorted(range(6), key=lambda i: (dists[i], i))]
             assert ranked(state, q, e, ids) == expected
+
+    def test_csls_subsets_match_brute_force(self):
+        # queries and candidates are strict subsets, so the candidate
+        # penalty over all mapped source entities differs from one over
+        # the queries
+        rng = np.random.default_rng(24)
+        src = space_from(rng.standard_normal((12, 4)))
+        tgt = space_from(rng.standard_normal((10, 4)))
+        state = AlignmentState(source=src, target=tgt,
+                               ent_pairs=[("e0", "e0")])
+        state.transform = random_orthogonal(rng, 4)
+        query_ids = ["e1", "e4", "e5", "e9"]
+        cand_ids = ["e0", "e2", "e3", "e7", "e8"]
+        mapped = src.vectors @ state.transform.T
+        queries = [mapped[int(e[1:])] for e in query_ids]
+        cands = [tgt.vectors[int(e[1:])] for e in cand_ids]
+        for k in (1, 3, 20):
+            expected = brute_csls(queries, cands, k, cand_ref=list(mapped))
+            got = infer_batch(query_ids, state, csls(k), cand_ids)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            # the reference set matters on this fixture
+            assert not np.allclose(got, brute_csls(queries, cands, k))
 
     def test_csls_argmax_scale_invariant(self):
         rng = np.random.default_rng(20)

@@ -20,16 +20,6 @@ def make_state(rng, n=20, k=6, noise=0.1):
 
 
 class TestHandFixture:
-    def ranks_to_state(self, ranks):
-        """Build a 1-candidate-set state whose ranks equal `ranks` via l2."""
-        n = max(ranks) + 2
-        k = 4
-        rng = np.random.default_rng(0)
-        tgt_vecs = unit_rows(rng.standard_normal((n, k)))
-        # each query q_i sits closest to some target; place the gold target
-        # of query i at the requested rank by construction below
-        return tgt_vecs
-
     def test_rank_list_1_2_4(self):
         # unit-circle points: l2 distance is monotone in angular distance
         def on_circle(*degs):

@@ -99,6 +99,13 @@ def run_inputs(tmp_path, config):
             "--config", tmp_path / "cfg"]
 
 
+def ablate_inputs(tmp_path, *options):
+    """`kgalign ablate` arguments on the `run_inputs` benchmark, with a
+    one-epoch config and `options`."""
+    run = run_inputs(tmp_path, "dim = 4\nepochs = 1\nmin_freq = 1\n")
+    return ["ablate", *run[1:], *options]
+
+
 def train_inputs(tmp_path, config):
     """`kgalign train` arguments on the grounded source side of the
     `run_inputs` benchmark, with `config`."""
@@ -321,6 +328,26 @@ CASES = {
     "run-stop-frac-above-1": (
         lambda p, mp: run_inputs(p, "dim = 4\nepochs = 1\nmin_freq = 1\n")
         + ["--stop-frac", 5], 1, "stop_fraction"),
+    # numpy takes non-negative seeds only; the option says so when parsed
+    "synth-seed-negative": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--seed", -1], 1,
+        "Invalid value for '--seed': -1 is not in the range x>=0"),
+    "train-seed-negative": (
+        lambda p, mp: train_inputs(p, "dim = 4\n") + ["--seed", -1], 1,
+        "Invalid value for '--seed': -1 is not in the range x>=0"),
+    "run-seed-negative": (
+        lambda p, mp: run_inputs(p, "dim = 4\n") + ["--seed", -2], 1,
+        "Invalid value for '--seed': -2 is not in the range x>=0"),
+    "ablate-seed-negative": (
+        lambda p, mp: ablate_inputs(p, "--seed", -1), 1,
+        "Invalid value for '--seed': -1 is not in the range x>=0"),
+    # an empty list of settings is not the whole grid
+    "ablate-settings-empty": (
+        lambda p, mp: ablate_inputs(p, "--settings", ""), 1,
+        "Invalid value for '--settings': names no ablation setting"),
+    "ablate-settings-commas": (
+        lambda p, mp: ablate_inputs(p, "--settings", " , ,"), 1,
+        "Invalid value for '--settings': names no ablation setting"),
 }
 
 
@@ -329,7 +356,11 @@ CASES = {
 def test_exit_code(tmp_path, monkeypatch, capsys, build, code, message):
     args = build(tmp_path, monkeypatch)
     assert main_exit_code(monkeypatch, args) == code
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err
+    if args[0] in ("run", "ablate") and code == 1:
+        # a rejected input stops the command before its first stage
+        assert "stage" not in out
     if args[0] == "align":
         # a failed alignment leaves no state file behind
         assert (tmp_path / "state.json").exists() == (code == 0)

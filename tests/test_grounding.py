@@ -28,14 +28,13 @@ class TestIndex:
     def test_collision_first_wins(self):
         index = make_index([("e1", "paris"), ("e2", "paris")])
         assert index.longest_match(["paris"], 0) == ("e1", 1)
-        assert index.collisions == 1
 
     def test_unknown_entity_skipped(self, tmp_path, tiny_kg):
         path = tmp_path / "forms.tsv"
         path.write_text("a\talpha\nzz\tzulu\n", encoding="utf-8")
         index = build_index(path, tiny_kg)
-        assert index.skipped_unknown == 1
-        assert index.n_forms == 1
+        assert index.longest_match(["alpha"], 0) == ("a", 1)
+        assert index.longest_match(["zulu"], 0) is None
 
     def test_empty_surface_form_rejected(self, tmp_path, tiny_kg):
         path = tmp_path / "forms.tsv"

@@ -18,13 +18,11 @@ class TestLoadKG:
         kg = load_kg(write_triples(tmp_path, ["a\tr\tb", "a\tr\tc"]), "xx")
         assert kg.entities == ("a", "b", "c")
         assert kg.relations == ("r",)
-        assert len(kg.triples) == 2
-        assert kg.duplicate_count == 0
+        assert kg.triples == ((0, 0, 1), (0, 0, 2))
 
     def test_duplicates_collapsed(self, tmp_path):
         kg = load_kg(write_triples(tmp_path, ["a\tr\tb", "a\tr\tb"]), "xx")
-        assert len(kg.triples) == 1
-        assert kg.duplicate_count == 1
+        assert kg.triples == ((0, 0, 1),)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write_triples(tmp_path, ["a\tr\tb", "a\tr"])

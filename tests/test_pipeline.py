@@ -169,6 +169,12 @@ class TestAblations:
         assert len(lines) == 3
         assert lines[1].startswith("full")
 
+    def test_empty_grid_rejected(self, bench, tmp_path):
+        with pytest.raises(ConfigError, match="no ablation setting"):
+            run_ablation_grid(quick_config(), bench, tmp_path, seed=0,
+                              names=[])
+        assert not any(tmp_path.iterdir())
+
     def test_grid_trains_each_optimizer_config_once(self, bench, tmp_path,
                                                     monkeypatch):
         trained = []
