@@ -113,13 +113,26 @@ def procrustes_solve(pairs_x: np.ndarray, pairs_y: np.ndarray) -> np.ndarray:
     return vt.T @ u.T
 
 
-def _topk_mean(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
+# Cells of one block of a score matrix: 2**21 float64 values, 16 MB.
+BLOCK_CELLS = 1 << 21
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows, each block at most BLOCK_CELLS cells
+    (or one row, if a row alone is larger)."""
+    step = max(1, BLOCK_CELLS // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _topk(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """The min(k, n) largest values along `axis`, in no order."""
     n = scores.shape[axis]
     k = min(k, n)
     part = np.partition(scores, n - k, axis=axis)
     sl = [slice(None)] * scores.ndim
     sl[axis] = slice(n - k, n)
-    return part[tuple(sl)].mean(axis=axis)
+    return part[tuple(sl)]
 
 
 def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,25 +143,60 @@ def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -np.sqrt(np.maximum(sq, 0.0))
 
 
-def _score_matrix(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
-                  cand_ref: np.ndarray | None = None) -> np.ndarray:
-    """Score of every (query, candidate) row pair, higher is better, under
-    the query's metric.
+def _csls_penalties(queries: np.ndarray, cands: np.ndarray, k: int,
+                    cand_ref: np.ndarray | None):
+    """The two CSLS penalties of unit rows, one block of cosines at a time:
+    each query's mean cosine to its k nearest candidates, and each
+    candidate's to its k nearest rows of `cand_ref` (the queries if None).
+    """
+    r_query = np.empty(len(queries))
+    top = None                       # running column top-k, cand_ref None
+    for rows in _row_blocks(len(queries), len(cands)):
+        cos = queries[rows] @ cands.T
+        r_query[rows] = _topk(cos, k, axis=1).mean(axis=1)
+        if cand_ref is None:
+            block_top = _topk(cos, k, axis=0)
+            top = block_top if top is None else _topk(
+                np.concatenate([top, block_top]), k, axis=0)
+    if cand_ref is None:
+        return r_query, top.mean(axis=0)
+    r_cand = np.empty(len(cands))
+    for rows in _row_blocks(len(cands), len(cand_ref)):
+        r_cand[rows] = _topk(cands[rows] @ cand_ref.T, k, axis=1).mean(axis=1)
+    return r_query, r_cand
+
+
+def _score_blocks(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
+                  cand_ref: np.ndarray | None = None):
+    """Yield (rows, scores of those query rows against every candidate),
+    higher is better, under the query's metric; the blocks cover the query
+    rows in order and each holds at most BLOCK_CELLS cells.
 
     CSLS is 2 cos(x, y) minus the mean cosine of x to its csls_k nearest
     candidates, minus the mean cosine of y to its csls_k nearest rows of
     `cand_ref`.  With no `cand_ref` the reference rows are the queries.
     """
     if q.metric != "csls":
-        return neg_l2_matrix(queries, cands)
-    cands = unit_rows(cands)
-    cos = unit_rows(queries) @ cands.T
-    r_query = _topk_mean(cos, q.csls_k, axis=1)
-    if cand_ref is None:
-        r_cand = _topk_mean(cos, q.csls_k, axis=0)
-    else:
-        r_cand = _topk_mean(cands @ unit_rows(cand_ref).T, q.csls_k, axis=1)
-    return 2.0 * cos - r_query[:, None] - r_cand[None, :]
+        for rows in _row_blocks(len(queries), len(cands)):
+            yield rows, neg_l2_matrix(queries[rows], cands)
+        return
+    queries, cands = unit_rows(queries), unit_rows(cands)
+    if cand_ref is not None:
+        cand_ref = unit_rows(cand_ref)
+    r_query, r_cand = _csls_penalties(queries, cands, q.csls_k, cand_ref)
+    for rows in _row_blocks(len(queries), len(cands)):
+        yield rows, (2.0 * (queries[rows] @ cands.T)
+                     - r_query[rows, None] - r_cand[None, :])
+
+
+def _score_matrix(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
+                  cand_ref: np.ndarray | None = None) -> np.ndarray:
+    """Score of every (query, candidate) row pair, as `_score_blocks`
+    yields them, in one (queries x candidates) array."""
+    scores = np.empty((len(queries), len(cands)))
+    for rows, block in _score_blocks(queries, cands, q, cand_ref):
+        scores[rows] = block
+    return scores
 
 
 def _candidate_indices(space: AlignmentSpace, aligned_ids: list[str],
@@ -177,9 +225,20 @@ def propose_pairs(state: AlignmentState,
     if len(src_idx) == 0 or len(tgt_idx) == 0:
         return []
     mapped = state.source.vectors[src_idx] @ state.transform.T
-    scores = _score_matrix(mapped, state.target.vectors[tgt_idx], q)
-    nn_of_src = scores.argmax(axis=1)
-    nn_of_tgt = scores.argmax(axis=0)
+    nn_of_src = np.empty(len(src_idx), dtype=np.int64)
+    # column argmax over the blocks: a later block takes a column only on a
+    # strictly larger score, so ties go to the lower row, as in one block
+    nn_of_tgt = np.zeros(len(tgt_idx), dtype=np.int64)
+    best = np.full(len(tgt_idx), -np.inf)
+    cols = np.arange(len(tgt_idx))
+    for rows, scores in _score_blocks(mapped, state.target.vectors[tgt_idx],
+                                      q):
+        nn_of_src[rows] = scores.argmax(axis=1)
+        block_nn = scores.argmax(axis=0)
+        block_best = scores[block_nn, cols]
+        wins = block_best > best
+        best[wins] = block_best[wins]
+        nn_of_tgt[wins] = rows.start + block_nn[wins]
 
     existing_lex = set(state.lex_pairs)
     proposals = []

@@ -179,8 +179,9 @@ def _walk_corpus(triples: list[tuple[int, int, int]], n_entities: int,
             sig = signatures[node]
             for c in rng.permutation(len(sig)):
                 tokens.append(f"{word}{sig[int(c)]}")
-            if neighbors[node]:
-                node = int(rng.choice(np.array(neighbors[node])))
+            nbrs = neighbors[node]
+            if nbrs:
+                node = nbrs[int(rng.integers(len(nbrs)))]
             else:
                 node = int(rng.integers(n_entities))
         docs.append(" ".join(tokens))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kgalign import alignment
 from kgalign.alignment import (AlignmentSpace, AlignmentState, _score_matrix,
                                infer_batch, load_state, procrustes_solve,
                                propose_pairs, save_state, self_learn,
@@ -138,6 +141,88 @@ class TestCSLS:
         assert np.array_equal(
             _score_matrix(queries, cands, csls(k), cand_ref=ref),
             evaluation_csls(queries, cands, ref, k))
+
+
+# About 43 rows of 260 candidates per block: 7 blocks over 300 queries.
+SMALL_BLOCK = 43 * 260
+
+
+def paired_spaces(rng, n_src=300, n_tgt=260, n_lex=60, dim=8, noise=0.3):
+    """Spaces whose first n_tgt items (entities, then lexemes) are noisy
+    copies of the source's, so mutual nearest neighbours are many."""
+    src = rng.standard_normal((n_src, dim))
+    tgt = src[:n_tgt] + noise * rng.standard_normal((n_tgt, dim))
+    return (space_from(src[:n_src - n_lex], src[n_src - n_lex:]),
+            space_from(tgt[:n_tgt - n_lex], tgt[n_tgt - n_lex:]))
+
+
+class TestBlocks:
+    """Scores taken in many row blocks equal the one-block scores."""
+
+    @pytest.mark.parametrize("q", [csls(1), csls(5), csls(40),
+                                   NeighborQuery(metric="l2")],
+                             ids=["csls1", "csls5", "csls40", "l2"])
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_score_matrix_matches_one_block(self, monkeypatch, q, with_ref):
+        rng = np.random.default_rng(25)
+        queries = rng.standard_normal((300, 6))
+        cands = rng.standard_normal((260, 6))
+        ref = rng.standard_normal((320, 6)) if with_ref else None
+        one = _score_matrix(queries, cands, q, cand_ref=ref)
+        monkeypatch.setattr(alignment, "BLOCK_CELLS", SMALL_BLOCK)
+        assert len(list(alignment._row_blocks(300, 260))) == 7
+        many = _score_matrix(queries, cands, q, cand_ref=ref)
+        np.testing.assert_allclose(many, one, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(many.argmax(axis=1),
+                                      one.argmax(axis=1))
+        np.testing.assert_array_equal(many.argmax(axis=0),
+                                      one.argmax(axis=0))
+
+    @pytest.mark.parametrize("q", [csls(5), NeighborQuery(metric="l2")],
+                             ids=["csls5", "l2"])
+    def test_propose_pairs_match_one_block(self, monkeypatch, q):
+        rng = np.random.default_rng(26)
+        src, tgt = paired_spaces(rng)
+        state = AlignmentState(source=src, target=tgt,
+                               ent_pairs=[("e0", "e0"), ("e3", "e3")],
+                               lex_pairs=[("w1", "w1")])
+        state.transform = np.eye(8)
+        one = propose_pairs(state, q)
+        monkeypatch.setattr(alignment, "BLOCK_CELLS", SMALL_BLOCK)
+        assert propose_pairs(state, q) == one
+        assert len(one) > 100
+
+    @pytest.mark.parametrize("block_cells", [6, 24])
+    @pytest.mark.parametrize("q", [csls(2), NeighborQuery(metric="l2")],
+                             ids=["csls2", "l2"])
+    def test_column_tie_goes_to_lower_row(self, monkeypatch, block_cells, q):
+        """Source e6 duplicates e0 in a later block; the target e0's
+        nearest source is e0, as the dense column argmax picks it."""
+        rng = np.random.default_rng(27)
+        ent = rng.standard_normal((6, 4))
+        state = AlignmentState(source=space_from(np.vstack([ent, ent[:1]])),
+                               target=space_from(ent), ent_pairs=[])
+        state.transform = np.eye(4)
+        monkeypatch.setattr(alignment, "BLOCK_CELLS", block_cells)
+        props = {(s, t) for s, t, _ in propose_pairs(state, q)}
+        assert ("e0", "e0") in props
+        assert all(s != "e6" for s, _ in props)
+
+    def test_proposal_memory_below_dense_matrix(self):
+        """Proposing on 3000 x 3000 never holds the dense score matrix."""
+        rng = np.random.default_rng(28)
+        n = 3000
+        src = space_from(rng.standard_normal((n, 16)))
+        tgt = space_from(rng.standard_normal((n, 16)))
+        state = AlignmentState(source=src, target=tgt, ent_pairs=[])
+        state.transform = random_orthogonal(rng, 16)
+        tracemalloc.start()
+        try:
+            propose_pairs(state, csls(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestProposePairs:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from kgalign import alignment
 from kgalign.alignment import AlignmentState, infer_batch, unit_rows
 from kgalign.config import NeighborQuery
 from kgalign.evaluation import evaluate
 
 from oracles import brute_rank, random_orthogonal
-from test_alignment import space_from
+from test_alignment import SMALL_BLOCK, space_from
 
 
 def make_state(rng, n=20, k=6, noise=0.1):
@@ -88,6 +89,22 @@ class TestAgainstOracle:
             np.mean([r == 1 for r in oracle_ranks]))
         assert report.mrr == pytest.approx(
             np.mean([1 / r for r in oracle_ranks]))
+
+
+@pytest.mark.parametrize("q", [NeighborQuery(metric="csls", csls_k=5),
+                               NeighborQuery(metric="l2")],
+                         ids=["csls5", "l2"])
+def test_ranks_match_one_block(monkeypatch, q):
+    """Scores taken in 9 row blocks rank every query as one block does."""
+    rng = np.random.default_rng(9)
+    state = make_state(rng, n=300, noise=0.6)
+    pairs = [(f"e{i}", f"e{i}") for i in range(300)]
+    one = evaluate(pairs, state, q, candidate_mode="all")
+    monkeypatch.setattr(alignment, "BLOCK_CELLS", SMALL_BLOCK)
+    assert len(list(alignment._row_blocks(300, 300))) == 9
+    many = evaluate(pairs, state, q, candidate_mode="all")
+    assert many.ranks == one.ranks
+    assert 0 < one.h_at_1 < 1
 
 
 class TestProperties:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,66 @@ class TestGeneration:
         # every seed-lexicon word occurs on both sides of the pair
         assert {s for s, _ in gold_lex} <= src_words
         assert {t for _, t in gold_lex} <= tgt_words
+
+
+# sha256 of every file generate_benchmark writes at seed 0: a changed draw
+# anywhere in the generator changes some of them.
+PINNED_DIGESTS = {
+    "default": {
+        "gold_entities.tsv":
+            "bb44c88069e77e9e44521be66b888948e5ff0a7b88643bf0dbffc1f511bf6398",
+        "gold_lexemes.tsv":
+            "897146954924d5f0fee6b9a9cdf8f7be60831128532aa93066b7ee5e80824ad2",
+        "params.json":
+            "d91e7f0ccbd1ddd94f5003eea26277e58079bbb85721e8c388aa05c6b6458784",
+        "src.corpus":
+            "d8e3d1a60655fda262ea49b7d689e854a13305ff13a7fb24a8d43e5a61053459",
+        "src.forms":
+            "8d4ebbda3a24114b7912da227720337475ee878d39e25e23b7b226d65323757a",
+        "src.triples":
+            "dcc1deeae734521c25ec440d568d82ccdd2b3e021b9fcbdd24f4b1c2ea4fb78b",
+        "tgt.corpus":
+            "511b91993c13e9c6c4e024a238c0cc50c278aa018d80477fff293cb92fe9d3db",
+        "tgt.forms":
+            "a4bb2d832b4dfaa5b6fa6ca1c5cfd63d41b1d588356b2c4d1b8acdac653019c3",
+        "tgt.triples":
+            "f131fc307c4438cee5785b14f1c22d7421ff05ded6969d34bd51b2770a2545d4",
+    },
+    "grid": {
+        "gold_entities.tsv":
+            "50b9a3b1a0d929b100d19eb354adf47a433b17c1b6fd6e0a38b7460d66d89b42",
+        "gold_lexemes.tsv":
+            "32b06363412f44d72e3125d17f08291d03cb8d110334f67ae48f7c9931e21a76",
+        "params.json":
+            "c4c1598e9dd431ec972193f1719e776e54690688e71a31d7df9de76668f3115b",
+        "src.corpus":
+            "e6d0b6dd38dcf732ce609bfd65403121af50ceb353f2ba725cf1347614147d6e",
+        "src.forms":
+            "40663893595d8c14baa7ecddb40febc037de4f066eab5ddc3ad72a06b156d7a2",
+        "src.triples":
+            "2ec10355b02a67c9587032003ca174b0331cb88f78594dc472580a34df6cf0fb",
+        "tgt.corpus":
+            "0b5929c1cfcf43ad32f8620fe6d7d034c14c7185e56a1b2efed4ca0cafaded23",
+        "tgt.forms":
+            "d3fc3c8fcc5ba39213fcd9851e17ebc0a5fe3c6650cf4aa3eadaf68b686d98d2",
+        "tgt.triples":
+            "637850c7e4f506481a782dccd60d9678242a1123881dd0d4aed7da15ef258d23",
+    },
+}
+PINNED_PARAMS = {
+    "default": BenchmarkParams(),
+    # the 150-entity benchmark of the ablation grid
+    "grid": BenchmarkParams(n_entities=150, n_triples=600, n_walks=750,
+                            n_common_concepts=60, seed_lexicon_size=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_bytes(tmp_path, name):
+    generate_benchmark(PINNED_PARAMS[name], seed=0, out_dir=tmp_path)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir()}
+    assert digests == PINNED_DIGESTS[name]
 
 
 @settings(max_examples=80, deadline=None)
