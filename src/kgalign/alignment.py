@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, NeighborQuery, open_text
+from .config import ConfigError, NeighborQuery, open_text, read_fields
 from .embedding import read_embeddings
 from .grounding import ENTITY_PREFIX
 
@@ -38,14 +38,13 @@ class AlignmentSpace:
 
     items: tuple[str, ...]
     vectors: np.ndarray              # unit rows
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False)
     entity_mask: np.ndarray = field(init=False)  # bool per item
 
     def __post_init__(self):
         self.entity_mask = np.array([t.startswith(ENTITY_PREFIX)
                                      for t in self.items], dtype=bool)
-        if not self.index:
-            self.index = {it: i for i, it in enumerate(self.items)}
+        self.index = {it: i for i, it in enumerate(self.items)}
 
     @property
     def n_entities(self) -> int:
@@ -85,11 +84,10 @@ class AlignmentState:
     lexeme_top_f: int = 10000
 
     def pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (X, Y) vectors of all current pairs, entities + lexemes;
-        a lexeme pair naming an item either side lacks is left out."""
+        """Stacked (X, Y) vectors of all current pairs, entities + lexemes."""
         src, tgt = self.source, self.target
-        lex = np.array([(src.index[s], tgt.index[t]) for s, t in self.lex_pairs
-                        if s in src.index and t in tgt.index],
+        lex = np.array([(src.index[s], tgt.index[t])
+                        for s, t in self.lex_pairs],
                        dtype=np.int64).reshape(-1, 2)
         ent_src = src.entity_rows([s for s, _ in self.ent_pairs])
         ent_tgt = tgt.entity_rows([t for _, t in self.ent_pairs])
@@ -333,8 +331,7 @@ def save_state(state: AlignmentState, path) -> None:
         },
         "ent_pairs": [list(p) for p in state.ent_pairs],
         "lex_pairs": [list(p) for p in state.lex_pairs],
-        "transform": (state.transform.tolist()
-                      if state.transform is not None else None),
+        "transform": state.transform.tolist(),
         "iteration": state.iteration,
         "proposal_counts": state.proposal_counts,
         "lexeme_top_f": state.lexeme_top_f,
@@ -406,15 +403,4 @@ def load_state(path) -> AlignmentState:
 
 
 def load_seed_pairs(path) -> list[tuple[str, str]]:
-    pairs = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected `source<TAB>target`")
-            pairs.append((parts[0], parts[1]))
-    return pairs
+    return [(s, t) for _, (s, t) in read_fields(path, "source<TAB>target")]

@@ -134,12 +134,11 @@ def ground_cmd(kg_path, forms, corpus, out, no_case_fold):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @_seed_option
 @click.option("--out", "out_prefix", required=True, type=click.Path())
-@click.option("--lang", default="xx", show_default=True)
 @_with_ablation_flags(_TRAIN_ABLATIONS)
-def train_cmd(kg_path, grounded, config_path, seed, out_prefix, lang, **flags):
+def train_cmd(kg_path, grounded, config_path, seed, out_prefix, **flags):
     """Train the joint KG + text embedding of one language."""
     cfg = _pipeline_config(config_path, **flags).optimizer
-    graph = kg.load_kg(kg_path, lang)
+    graph = kg.load_kg(kg_path, "xx")  # one language: no side to name
     corpus = grounding.load_pregrounded(grounded, graph)
     space, _ = embedding.train(graph, corpus, cfg, seed)
     embedding.write_embeddings(space, out_prefix)

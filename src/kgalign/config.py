@@ -91,6 +91,23 @@ def open_text(path) -> io.StringIO:
                          f"{data[exc.start:exc.end]!r} is not UTF-8") from None
 
 
+def read_fields(path, expected: str):
+    """Yield (line number, fields) of each non-blank line of tab-separated
+    file `path`, whose lines have the fields named in `expected`, such as
+    `source<TAB>target`.  A line with another number of fields, or with an
+    empty field, raises a ValueError with the file and line."""
+    n_fields = expected.count("<TAB>") + 1
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != n_fields or not all(parts):
+                raise ValueError(f"{path}: line {lineno}: expected `{expected}`")
+            yield lineno, parts
+
+
 def parse_config_file(path) -> dict:
     """Parse `key = value` lines; unknown keys are rejected."""
     values: dict = {}

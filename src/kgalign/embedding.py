@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .config import OptimizerConfig, open_text
 from .grounding import ENTITY_PREFIX, GroundedCorpus
-from .kg import KnowledgeGraph, RelationStats, relation_stats
+from .kg import KnowledgeGraph, relation_stats
 
 EPS = 1e-12
 RARE_TOKEN = "<unk>"
@@ -119,7 +119,8 @@ def init_space(kg: KnowledgeGraph, corpus: GroundedCorpus,
 # GCN forward/backward
 
 def _gcn_forward_cached(space: EmbeddingSpace, adjacency: sp.csr_matrix):
-    """Returns (entity output, cache for backward)."""
+    """n-layer propagation E^(l) = phi(N E^(l-1) M^(l-1)); returns E^(n)
+    and the cache for backward."""
     act, _ = _ACT[space.activation]
     e = space.ent0
     cache = []
@@ -129,11 +130,6 @@ def _gcn_forward_cached(space: EmbeddingSpace, adjacency: sp.csr_matrix):
         cache.append((agg, z))
         e = act(z)
     return e, cache
-
-
-def gcn_forward(space: EmbeddingSpace, adjacency: sp.csr_matrix) -> np.ndarray:
-    """n-layer propagation E^(l) = phi(N E^(l-1) M^(l-1)); returns E^(n)."""
-    return _gcn_forward_cached(space, adjacency)[0]
 
 
 def _gcn_backward(space: EmbeddingSpace, adjacency: sp.csr_matrix, cache,
@@ -319,11 +315,11 @@ def _redraw(h: int, r: int, t: int, nh: int, nt: int, corrupt_head: bool,
     return nh, nt
 
 
-def _kg_batch(pos: np.ndarray, stats: RelationStats,
+def _kg_batch(pos: np.ndarray, p_head: np.ndarray,
               observed: ObservedTriples, count: int,
               rng: np.random.Generator) -> KGBatch:
     """Bernoulli-corrupted negatives, `count` per positive (h, r, t): the
-    head is corrupted with probability tph/(tph+hpt), else the tail, and a
+    head is corrupted with probability p_head[r], else the tail, and a
     corruption that is an observed triple is redrawn (see `_redraw`)."""
     n_entities = observed.n_entities
     if n_entities < 2:
@@ -333,8 +329,7 @@ def _kg_batch(pos: np.ndarray, stats: RelationStats,
     cands = rng.integers(n_entities, size=(bsz, count))
     neg_h = np.repeat(pos[:, 0:1], count, axis=1)
     neg_t = np.repeat(pos[:, 2:3], count, axis=1)
-    p_head = stats.head_corruption_prob(pos[:, 1])
-    head_side = coins < p_head[:, None]
+    head_side = coins < p_head[pos[:, 1], None]
     neg_h[head_side] = cands[head_side]
     neg_t[~head_side] = cands[~head_side]
     # resample the (rare) corruptions that collide with observed triples,
@@ -454,7 +449,7 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
     rng = np.random.default_rng(seed)
     space = init_space(kg, corpus, cfg, rng)
     adjacency = build_graph_structure(kg) if cfg.gcn_layers else None
-    stats = relation_stats(kg)
+    p_head = relation_stats(kg)
     observed = ObservedTriples.of(kg)
     triples = np.array(kg.triples, dtype=np.int64)
 
@@ -493,7 +488,7 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
             if use_kg:
                 sel = triples[order[b * cfg.batch_size:
                                     (b + 1) * cfg.batch_size]]
-                batch = _kg_batch(sel, stats, observed, cfg.neg_samples,
+                batch = _kg_batch(sel, p_head, observed, cfg.neg_samples,
                                   rng)
                 loss, grads = kg_loss(batch, space, adjacency, cfg.bias_b)
                 if not np.isfinite(loss):
@@ -516,7 +511,7 @@ def train(kg: KnowledgeGraph, corpus: GroundedCorpus, cfg: OptimizerConfig,
         if text_losses:
             history.epoch_text_loss.append(float(np.mean(text_losses)))
 
-    space.ent_out = gcn_forward(space, adjacency)
+    space.ent_out = _gcn_forward_cached(space, adjacency)[0]
     # alignment normalizes every output row: a zero row is as unusable as
     # a non-finite one, and training, not the input, produced it
     rows = np.vstack([space.ent_out, space.lex])

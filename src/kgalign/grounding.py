@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import open_text
+from .config import open_text, read_fields
 from .kg import KnowledgeGraph
 
 ENTITY_PREFIX = "@ent:"
@@ -90,16 +90,6 @@ class GroundedCorpus:
 
     documents: list[list[Token]]
 
-    def reconstruct(self, doc_idx: int) -> list[str]:
-        """Original token sequence of a document, entity tokens expanded."""
-        out: list[str] = []
-        for tok in self.documents[doc_idx]:
-            if tok.is_entity:
-                out.extend(tok.surface)
-            else:
-                out.append(tok.text)
-        return out
-
 
 @dataclass(frozen=True)
 class GroundingStats:
@@ -111,26 +101,17 @@ def build_index(forms_path, kg: KnowledgeGraph,
                 case_fold: bool = True) -> SurfaceFormIndex:
     """Load `entity-id<TAB>surface form` lines into a trie.
 
-    Unknown entity ids are skipped; empty surface forms raise.
+    Unknown entity ids are skipped; a blank surface form raises.
     """
     index = SurfaceFormIndex(case_fold=case_fold)
-    with open_text(forms_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{forms_path}: line {lineno}: expected "
-                    f"`entity-id<TAB>surface form`")
-            ent, form = parts
-            tokens = form.split()
-            if not tokens:
-                raise ValueError(
-                    f"{forms_path}: line {lineno}: empty surface form")
-            if ent in kg.ent_index:
-                index.insert(tokens, ent)
+    for lineno, (ent, form) in read_fields(forms_path,
+                                           "entity-id<TAB>surface form"):
+        tokens = form.split()
+        if not tokens:
+            raise ValueError(
+                f"{forms_path}: line {lineno}: empty surface form")
+        if ent in kg.ent_index:
+            index.insert(tokens, ent)
     return index
 
 

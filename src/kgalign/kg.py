@@ -3,7 +3,7 @@
 A KG is a pair of ordered vocabularies (entities, relations) plus a set of
 index triples.  The GCN consumes a symmetric, relation-blind view of the
 graph with self-loops and symmetric degree normalization; negative sampling
-consumes per-relation head/tail statistics.
+consumes each relation's probability of corrupting the head.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .config import open_text
-
-
-class KGFormatError(ValueError):
-    """Raised for malformed triples files."""
+from .config import read_fields
 
 
 @dataclass(frozen=True)
@@ -26,16 +22,15 @@ class KnowledgeGraph:
     entities: tuple[str, ...]
     relations: tuple[str, ...]
     triples: tuple[tuple[int, int, int], ...]
-    ent_index: dict[str, int] = field(default_factory=dict, compare=False)
+    ent_index: dict[str, int] = field(init=False, compare=False)
 
     def __post_init__(self):
         n_ent, n_rel = len(self.entities), len(self.relations)
         for h, r, t in self.triples:
             if not (0 <= h < n_ent and 0 <= t < n_ent and 0 <= r < n_rel):
                 raise ValueError(f"triple index out of range: {(h, r, t)}")
-        if not self.ent_index:
-            object.__setattr__(self, "ent_index",
-                               {e: i for i, e in enumerate(self.entities)})
+        object.__setattr__(self, "ent_index",
+                           {e: i for i, e in enumerate(self.entities)})
 
     @property
     def n_entities(self) -> int:
@@ -69,32 +64,21 @@ def from_string_triples(string_triples, lang: str) -> KnowledgeGraph:
         entities=tuple(ents),
         relations=tuple(rels),
         triples=tuple(triples),
-        ent_index=ents,
     )
 
 
 def load_kg(path, lang: str) -> KnowledgeGraph:
     """Load a KG from a UTF-8 TSV file, one `head<TAB>rel<TAB>tail` per line."""
     raw: list[tuple[str, str, str]] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise KGFormatError(
-                    f"{path}: line {lineno}: expected 3 non-empty "
-                    f"tab-separated fields, got {len(parts)}")
-            for part in parts:
-                # ids are written as space-separated .vec tokens
-                if any(ch.isspace() for ch in part):
-                    raise KGFormatError(
-                        f"{path}: line {lineno}: id {part!r} contains "
-                        f"whitespace")
-            raw.append((parts[0], parts[1], parts[2]))
+    for lineno, parts in read_fields(path, "head<TAB>relation<TAB>tail"):
+        for part in parts:
+            # ids are written as space-separated .vec tokens
+            if any(ch.isspace() for ch in part):
+                raise ValueError(f"{path}: line {lineno}: id {part!r} "
+                                 f"contains whitespace")
+        raw.append((parts[0], parts[1], parts[2]))
     if not raw:
-        raise KGFormatError(f"{path}: empty triples file")
+        raise ValueError(f"{path}: empty triples file")
     return from_string_triples(raw, lang)
 
 
@@ -112,9 +96,8 @@ def build_graph_structure(kg: KnowledgeGraph) -> sp.csr_matrix:
         cols.extend((t, h))
     data = np.ones(len(rows), dtype=np.float64)
     adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    adj.data[:] = 1.0  # multiple relations between a pair still yield 1
     adj.sum_duplicates()
-    adj.data[:] = 1.0
+    adj.data[:] = 1.0  # multiple relations between a pair still yield 1
     looped = (adj + sp.identity(n, format="csr", dtype=np.float64)).tocsr()
     degrees = np.asarray(looped.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)
@@ -122,20 +105,10 @@ def build_graph_structure(kg: KnowledgeGraph) -> sp.csr_matrix:
     return (d_half @ looped @ d_half).tocsr()
 
 
-@dataclass(frozen=True)
-class RelationStats:
-    """Per-relation mean tails-per-head and heads-per-tail."""
-
-    tph: np.ndarray
-    hpt: np.ndarray
-
-    def head_corruption_prob(self, relation: int) -> float:
-        tph = self.tph[relation]
-        hpt = self.hpt[relation]
-        return tph / (tph + hpt)
-
-
-def relation_stats(kg: KnowledgeGraph) -> RelationStats:
+def relation_stats(kg: KnowledgeGraph) -> np.ndarray:
+    """The probability tph / (tph + hpt) of corrupting the head of a triple
+    of each relation, from its mean tails per head (tph) and heads per
+    tail (hpt); 0.5 for a relation with no triple."""
     tails_per_head: list[dict[int, set[int]]] = [
         {} for _ in range(kg.n_relations)]
     heads_per_tail: list[dict[int, set[int]]] = [
@@ -149,4 +122,4 @@ def relation_stats(kg: KnowledgeGraph) -> RelationStats:
         if tails_per_head[r]:
             tph[r] = np.mean([len(ts) for ts in tails_per_head[r].values()])
             hpt[r] = np.mean([len(hs) for hs in heads_per_tail[r].values()])
-    return RelationStats(tph=tph, hpt=hpt)
+    return tph / (tph + hpt)

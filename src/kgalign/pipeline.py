@@ -123,8 +123,10 @@ def train_stage(cfg: PipelineConfig, grounded, seed: int, log=_quiet):
 
 def _check_pairs(kind: str, pairs, source: AlignmentSpace,
                  target: AlignmentSpace, path) -> None:
-    """Seed or test entity pairs name known entities, each at most once a
-    side."""
+    """Seed or test entity pairs, at least one, name known entities, each
+    at most once a side."""
+    if not pairs:
+        raise ValueError(f"{path}: no {kind} pairs")
     used = (set(), set())
     for pair in pairs:
         for side, space, entity, seen in zip(("source", "target"),

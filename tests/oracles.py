@@ -148,6 +148,18 @@ def naive_grounding_stats(raw_documents, surface_forms, case_fold=True):
     return mentions
 
 
+def reconstruct(corpus, doc_idx):
+    """Original token sequence of a grounded document, each entity token
+    expanded to the surface tokens it replaced."""
+    out = []
+    for tok in corpus.documents[doc_idx]:
+        if tok.is_entity:
+            out.extend(tok.surface)
+        else:
+            out.append(tok.text)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Earlier implementations of the training step's kernels, kept as oracles:
 # the fast kernels must reproduce them bit for bit.

@@ -130,6 +130,17 @@ def pregrounded_inputs(tmp_path, text):
             tmp_path / "g.grounded", "--out", tmp_path / "emb"]
 
 
+def ground_inputs(tmp_path, forms):
+    """`kgalign ground` arguments on the KG `a r b`, a one-line corpus
+    and a surface-form file holding `forms`."""
+    (tmp_path / "kg.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+    (tmp_path / "forms.tsv").write_text(forms, encoding="utf-8")
+    (tmp_path / "corpus.txt").write_text("sx se1 met bee\n", encoding="utf-8")
+    return ["ground", "--kg", tmp_path / "kg.tsv", "--forms",
+            tmp_path / "forms.tsv", "--corpus", tmp_path / "corpus.txt",
+            "--out", tmp_path / "out.grounded"]
+
+
 def config_case(setting, rule):
     """A `kgalign run` case with the config file holding `setting`, which
     breaks `rule`: exit 1, and the message names the file."""
@@ -259,6 +270,14 @@ CASES = {
     "eval-test-lexeme-target": (
         lambda p, mp: eval_inputs(p, lambda text: text, test="e3\tw1\n"), 1,
         "test.tsv: test pair e3\tw1: target entity 'w1' is unknown"),
+    # an empty field is not an id; every tab-separated input says which
+    # fields its lines have
+    "eval-test-empty-field": (
+        lambda p, mp: eval_inputs(p, lambda text: text, test="e3\te3\na1\t\n"),
+        1, "test.tsv: line 2: expected `source<TAB>target`"),
+    "eval-test-empty": (
+        lambda p, mp: eval_inputs(p, lambda text: text, test="\n"), 1,
+        "test.tsv: no test pairs"),
     "eval-test-target-twice": (
         lambda p, mp: eval_inputs(p, lambda text: text,
                                   test="e3\te3\ne4\te3\n"), 1,
@@ -292,6 +311,17 @@ CASES = {
     "align-seed-target-twice": (
         lambda p, mp: align_inputs(p, seeds=SEEDS + "e5\te1\n"), 1,
         "seeds.tsv: seed pair e5\te1: target entity 'e1' is used twice"),
+    "align-seed-empty": (
+        lambda p, mp: align_inputs(p, seeds=""), 1,
+        "seeds.tsv: no seed pairs"),
+    "align-lexicon-empty-field": (
+        lambda p, mp: with_lexicon(p, "w0\tw0\nsw500\t\n"), 1,
+        "lexicon.tsv: line 2: expected `source<TAB>target`"),
+    "ground-valid": (
+        lambda p, mp: ground_inputs(p, "a\tsx\nb\tbee\n"), 0, ""),
+    "ground-forms-empty-id": (
+        lambda p, mp: ground_inputs(p, "a\tsx\n\tsx se1\n"), 1,
+        "forms.tsv: line 2: expected `entity-id<TAB>surface form`"),
     # lexicon pairs may be many-to-many and name absent items
     "align-seed-lexicon-many-to-many": (
         lambda p, mp: with_lexicon(p, "w0\tw0\nw0\tw1\nzz\tw2\n"), 0, ""),
@@ -366,5 +396,7 @@ def test_exit_code(tmp_path, monkeypatch, capsys, build, code, message):
         assert (tmp_path / "state.json").exists() == (code == 0)
     if args[0] == "train":
         assert (tmp_path / "emb.vec").exists() == (code == 0)
+    if args[0] == "ground":
+        assert (tmp_path / "out.grounded").exists() == (code == 0)
     if args[0] == "synth":
         assert (tmp_path / "bench").exists() == (code == 0)

@@ -10,7 +10,7 @@ from kgalign.grounding import (GroundedCorpus, SurfaceFormIndex, build_index,
 from kgalign.kg import from_string_triples
 
 from conftest import make_corpus, small_config
-from oracles import naive_grounding_stats
+from oracles import naive_grounding_stats, reconstruct
 
 
 def make_index(forms, case_fold=True):
@@ -119,7 +119,7 @@ class TestGroundCorpus:
                                         "b", "c", "c", "c"]]),
                           2) == (RARE_TOKEN, "c", "b")
         # the document itself keeps the original text
-        assert corpus.reconstruct(0) == ["x", "x", "x", "y"]
+        assert reconstruct(corpus, 0) == ["x", "x", "x", "y"]
 
     def test_lexicon_counts_match_corpus(self, tiny_kg, tiny_corpus):
         # every lexeme occurrence gets a row: its own word's, or <unk>'s

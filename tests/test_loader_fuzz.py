@@ -30,6 +30,10 @@ TEXTS = st.one_of(
     st.text(), LINES.map("\n".join),
     st.builds(lambda n, d, lines: f"{n} {d}\n" + "\n".join(lines),
               COUNTS, COUNTS, LINES))
+# texts for the tab-separated loaders: the fragments also joined by tabs
+TSV_TEXTS = st.one_of(st.text(), LINES.map("\n".join),
+                      LINES.map(lambda lines: "\n".join(
+                          line.replace(" ", "\t") for line in lines)))
 
 
 def write(tmp_path_factory, text):
@@ -56,9 +60,7 @@ def test_read_embeddings_loads_or_names_the_file(tmp_path_factory, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.one_of(st.text(), LINES.map("\n".join),
-                      LINES.map(lambda lines: "\n".join(
-                          line.replace(" ", "\t") for line in lines))))
+@given(text=TSV_TEXTS)
 def test_load_seed_pairs_loads_or_names_the_file(tmp_path_factory, text):
     path = write(tmp_path_factory, text)
     with time_limit(10):
@@ -67,8 +69,53 @@ def test_load_seed_pairs_loads_or_names_the_file(tmp_path_factory, text):
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: line "), exc
             return
-    assert all(len(pair) == 2 and "\t" not in pair[0] + pair[1]
+    assert all(len(pair) == 2 and pair[0] and pair[1]
+               and "\t" not in pair[0] + pair[1]
                and "\n" not in pair[0] + pair[1] for pair in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TSV_TEXTS)
+def test_load_kg_loads_or_names_the_file(tmp_path_factory, text):
+    path = write(tmp_path_factory, text)
+    with time_limit(10):
+        try:
+            kg = load_kg(path, "xx")
+        except ValueError as exc:
+            assert (str(exc).startswith(f"{path}: line ")
+                    or str(exc) == f"{path}: empty triples file"), exc
+            return
+    assert kg.triples
+    assert all(name and not any(ch.isspace() for ch in name)
+               for name in kg.entities + kg.relations)
+
+
+# entities named like the fragments, so that forms are often inserted
+FORMS_KG = from_string_triples([("0", "r", "x"), ("w", "r", "@ent:a")], "xx")
+
+
+def trie_entries(node):
+    """(depth, entity id) of every terminal node below `node`."""
+    for key, child in node.items():
+        if key is SurfaceFormIndex._ENTRY:
+            yield 0, child
+        else:
+            yield from ((depth + 1, ent) for depth, ent in trie_entries(child))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TSV_TEXTS)
+def test_build_index_loads_or_names_the_file(tmp_path_factory, text):
+    path = write(tmp_path_factory, text)
+    with time_limit(10):
+        try:
+            index = build_index(path, FORMS_KG)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line "), exc
+            return
+    # every form inserted is non-empty and names an entity of the KG
+    assert all(depth > 0 and ent in FORMS_KG.ent_index
+               for depth, ent in trie_entries(index.root))
 
 
 def apply_edit(data, kind, side, i, j, value):
