@@ -111,8 +111,8 @@ def procrustes_solve(pairs_x: np.ndarray, pairs_y: np.ndarray) -> np.ndarray:
     return vt.T @ u.T
 
 
-# Cells of one block of a score matrix: 2**21 float64 values, 16 MB.
-BLOCK_CELLS = 1 << 21
+# Cells of one block of a score matrix: 2**20 float64 values, 8 MB.
+BLOCK_CELLS = 1 << 20
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -124,13 +124,14 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 def _topk(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """The min(k, n) largest values along `axis`, in no order."""
+    """The min(k, n) largest values along `axis`, in no order, as a new
+    array; `scores` is partitioned in place."""
     n = scores.shape[axis]
     k = min(k, n)
-    part = np.partition(scores, n - k, axis=axis)
+    scores.partition(n - k, axis=axis)
     sl = [slice(None)] * scores.ndim
     sl[axis] = slice(n - k, n)
-    return part[tuple(sl)]
+    return scores[tuple(sl)].copy()
 
 
 def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,7 +152,9 @@ def _csls_penalties(queries: np.ndarray, cands: np.ndarray, k: int,
     top = None                       # running column top-k, cand_ref None
     for rows in _row_blocks(len(queries), len(cands)):
         cos = queries[rows] @ cands.T
-        r_query[rows] = _topk(cos, k, axis=1).mean(axis=1)
+        # the row top-k reorders each row; the column top-k needs them whole
+        r_query[rows] = _topk(cos.copy() if cand_ref is None else cos, k,
+                              axis=1).mean(axis=1)
         if cand_ref is None:
             block_top = _topk(cos, k, axis=0)
             top = block_top if top is None else _topk(
@@ -183,14 +186,19 @@ def _score_blocks(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
         cand_ref = unit_rows(cand_ref)
     r_query, r_cand = _csls_penalties(queries, cands, q.csls_k, cand_ref)
     for rows in _row_blocks(len(queries), len(cands)):
-        yield rows, (2.0 * (queries[rows] @ cands.T)
-                     - r_query[rows, None] - r_cand[None, :])
+        # 2 cos - r_query - r_cand, in that order, in one block's memory
+        block = queries[rows] @ cands.T
+        block *= 2.0
+        block -= r_query[rows, None]
+        block -= r_cand
+        yield rows, block
 
 
 def _score_matrix(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
                   cand_ref: np.ndarray | None = None) -> np.ndarray:
     """Score of every (query, candidate) row pair, as `_score_blocks`
-    yields them, in one (queries x candidates) array."""
+    yields them, in one (queries x candidates) array.  No stage calls it;
+    the benchmark's tracer (`perfbench/spans.py`) wraps it by name."""
     scores = np.empty((len(queries), len(cands)))
     for rows, block in _score_blocks(queries, cands, q, cand_ref):
         scores[rows] = block
@@ -303,14 +311,16 @@ def solve_once(state: AlignmentState) -> AlignmentState:
 
 
 def infer_batch(query_ids: list[str], state: AlignmentState,
-                q: NeighborQuery, candidate_ids: list[str]) -> np.ndarray:
-    """Score matrix (queries x candidates), higher is better.
+                q: NeighborQuery, candidate_ids: list[str]):
+    """The scores of the queries against the candidates, higher is better,
+    as `_score_blocks` yields them: (query rows, block) in query order.
 
     For CSLS, the query-side penalty is taken over the candidate set and
-    the candidate-side penalty over all mapped source entities.
+    the candidate-side penalty over all mapped source entities.  The ids
+    are looked up at the call, the penalties taken at the first block.
     """
     src, tgt = state.source, state.target
-    return _score_matrix(
+    return _score_blocks(
         src.vectors[src.entity_rows(query_ids)] @ state.transform.T,
         tgt.vectors[tgt.entity_rows(candidate_ids)], q,
         cand_ref=src.vectors[src.entity_mask] @ state.transform.T)

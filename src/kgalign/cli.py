@@ -163,7 +163,8 @@ def align_cmd(src_emb, tgt_emb, seed_entities, seed_lexicon, out_path,
         cfg, alignment.AlignmentSpace.from_file(f"{src_emb}.vec"),
         alignment.AlignmentSpace.from_file(f"{tgt_emb}.vec"),
         alignment.load_seed_pairs(seed_entities), seed_entities,
-        seed_lexicon, out_path)
+        alignment.load_seed_pairs(seed_lexicon) if seed_lexicon else [],
+        out_path)
     click.echo(f"iterations\t{state.iteration}")
     click.echo(f"entity_pairs\t{len(state.ent_pairs)}")
     click.echo(f"lexeme_pairs\t{len(state.lex_pairs)}")
@@ -244,6 +245,12 @@ def main():
         sys.exit(2)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    except MemoryError as exc:
+        # numpy's MemoryError says what it could not allocate; a bare one
+        # has no message
+        detail = f": {exc}" if str(exc) else ""
+        click.echo(f"error: out of memory{detail}", err=True)
         sys.exit(1)
 
 

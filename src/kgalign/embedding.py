@@ -351,6 +351,8 @@ def _pair_array(docs_idx: list[np.ndarray], radius: int) -> np.ndarray:
     position order, then every (right, left) pair.
     """
     lengths = np.array([len(idx) for idx in docs_idx], dtype=np.int64)
+    # an offset past the longest document adds no pair
+    radius = min(radius, int(lengths.max(initial=1)) - 1)
     offsets = np.arange(1, radius + 1)
     # pairs in one direction per (document, offset), and where each
     # (document, offset) block starts in the output

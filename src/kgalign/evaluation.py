@@ -60,22 +60,24 @@ def evaluate(test_pairs: list[tuple[str, str]], state: AlignmentState,
     if missing:
         raise ValueError(f"gold targets missing from candidates: {missing[:5]}")
 
-    queries = [s for s, _ in test_pairs]
-    scores = infer_batch(queries, state, q, candidates)
-
-    ranks = []
-    for row, (_, gold) in zip(scores, test_pairs):
-        gi = cand_pos[gold]
-        gold_score = row[gi]
-        better = int(np.sum(row > gold_score))
-        tied_before = int(np.sum(row[:gi] == gold_score))
-        ranks.append(better + tied_before + 1)
-    ranks_arr = np.array(ranks)
+    gold_cols = np.array([cand_pos[g] for _, g in test_pairs])
+    cols = np.arange(len(candidates))
+    ranks_arr = np.empty(len(test_pairs), dtype=np.int64)
+    # rank = 1 + candidates scored strictly higher + ties before the gold
+    # column, one block of query rows at a time
+    for rows, scores in infer_batch([s for s, _ in test_pairs], state, q,
+                                    candidates):
+        gi = gold_cols[rows]
+        gold = scores[np.arange(len(gi)), gi][:, None]
+        better = np.count_nonzero(scores > gold, axis=1)
+        tied_before = np.count_nonzero(
+            (scores == gold) & (cols < gi[:, None]), axis=1)
+        ranks_arr[rows] = 1 + better + tied_before
     return EvalReport(
         h_at_1=float(np.mean(ranks_arr == 1)),
         h_at_p=float(np.mean(ranks_arr <= p)),
         p=p,
         mrr=float(np.mean(1.0 / ranks_arr)),
         n_test=len(test_pairs),
-        ranks=tuple(int(r) for r in ranks),
+        ranks=tuple(int(r) for r in ranks_arr),
     )

@@ -143,20 +143,19 @@ def _check_pairs(kind: str, pairs, source: AlignmentSpace,
 
 
 def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
-                target: AlignmentSpace, seed_pairs, seed_path, lexicon_path,
+                target: AlignmentSpace, seed_pairs, seed_path, lexicon_pairs,
                 state_path, log=_quiet) -> AlignmentState:
     """Induce the transform from the seed pairs read from `seed_path`, and
-    save the state.  With `cfg.use_seed_lexicon`, the pairs of
-    `lexicon_path` whose two items are in the spaces join the seeds."""
+    save the state.  With `cfg.use_seed_lexicon`, the lexicon pairs whose
+    two items are in the spaces join the seeds."""
     log("stage align: self-learning transform induction")
     _check_pairs("seed", seed_pairs, source, target, seed_path)
     state = AlignmentState(source=source, target=target,
                            ent_pairs=list(seed_pairs),
                            lexeme_top_f=cfg.lexeme_top_f)
     if cfg.use_seed_lexicon:
-        state.lex_pairs.extend(
-            (s, t) for s, t in alignment.load_seed_pairs(lexicon_path)
-            if s in source.index and t in target.index)
+        state.lex_pairs.extend((s, t) for s, t in lexicon_pairs
+                               if s in source.index and t in target.index)
     if cfg.no_self_learning:
         alignment.solve_once(state)
     else:
@@ -186,20 +185,31 @@ def evaluate_stage(cfg: PipelineConfig, test_pairs, test_path,
     return report
 
 
-def _align_and_evaluate(cfg, paths, grounded, spaces, out: Path, seed: int,
-                        log) -> PipelineResult:
+def read_gold(paths: BenchmarkPaths, configs) -> tuple[list, list]:
+    """The gold entity pairs, and the gold lexeme pairs if one of
+    `configs` uses the seed lexicon (else none).  Commands read them before
+    their first stage, so that a malformed line stops them before they
+    write anything."""
+    entities = alignment.load_seed_pairs(paths.gold_entities)
+    if not any(c.use_seed_lexicon for c in configs):
+        return entities, []
+    return entities, alignment.load_seed_pairs(paths.gold_lexemes)
+
+
+def _align_and_evaluate(cfg, paths, gold, grounded, spaces, out: Path,
+                        seed: int, log) -> PipelineResult:
     """Write the grounded corpora and the spaces to `out`, then align the
     `.vec` files written, as `kgalign align` does, on the seed split of
-    the gold pairs, and evaluate on the rest."""
+    the `read_gold` entity pairs, and evaluate on the rest."""
     out.mkdir(parents=True, exist_ok=True)
     for side, (_, corpus), space in zip(("src", "tgt"), grounded, spaces):
         grounding.write_grounded(corpus, out / f"{side}.grounded")
         embedding.write_embeddings(space, out / f"{side}_emb")
-    gold = alignment.load_seed_pairs(paths.gold_entities)
-    seed_pairs, test_pairs = split_gold(gold, cfg.seed_fraction, seed)
+    gold_entities, gold_lexemes = gold
+    seed_pairs, test_pairs = split_gold(gold_entities, cfg.seed_fraction, seed)
     state = align_stage(cfg, AlignmentSpace.from_file(out / "src_emb.vec"),
                         AlignmentSpace.from_file(out / "tgt_emb.vec"),
-                        seed_pairs, paths.gold_entities, paths.gold_lexemes,
+                        seed_pairs, paths.gold_entities, gold_lexemes,
                         out / "alignment_state.json", log)
     report = evaluate_stage(cfg, test_pairs, paths.gold_entities, state,
                             out / "report.tsv", log)
@@ -212,10 +222,11 @@ def _align_and_evaluate(cfg, paths, grounded, spaces, out: Path, seed: int,
 
 def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
                  seed: int, log=_quiet) -> PipelineResult:
+    gold = read_gold(paths, [cfg])
     grounded = ground_stage(paths, log)
     spaces = train_stage(cfg, grounded, seed, log)
-    return _align_and_evaluate(cfg, paths, grounded, spaces, Path(out_dir),
-                               seed, log)
+    return _align_and_evaluate(cfg, paths, gold, grounded, spaces,
+                               Path(out_dir), seed, log)
 
 
 # name -> (PipelineConfig overrides, OptimizerConfig overrides)
@@ -250,6 +261,7 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
                for name in (ABLATIONS if names is None else names)}
     if not configs:
         raise ConfigError("no ablation setting to run")
+    gold = read_gold(paths, configs.values())
     grounded = ground_stage(paths, log)
     spaces = train_spaces(dict.fromkeys(c.optimizer for c in configs.values()),
                           grounded, seed)
@@ -261,7 +273,7 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
             announced.add(cfg.optimizer)
             log(TRAIN_MESSAGE)
         reports[name] = _align_and_evaluate(
-            cfg, paths, grounded, spaces[cfg.optimizer],
+            cfg, paths, gold, grounded, spaces[cfg.optimizer],
             Path(out_dir) / name, seed, log).report
     return reports
 

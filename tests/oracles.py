@@ -343,3 +343,14 @@ def evaluation_csls(queries, cands, all_src, csls_k):
     cos_cand_src = _unit(cands) @ _unit(all_src).T
     r_cand = _topk_mean(cos_cand_src, csls_k, axis=1)
     return 2.0 * cos_qc - r_query[:, None] - r_cand[None, :]
+
+
+def stacked(blocks):
+    """The (rows, block) pairs a blocked scorer yields, as one matrix; the
+    blocks must cover the rows in order."""
+    parts, end = [], 0
+    for rows, block in blocks:
+        assert rows.start == end and rows.stop - rows.start == len(block)
+        parts.append(block)
+        end = rows.stop
+    return np.vstack(parts)

@@ -26,7 +26,7 @@ from kgalign.synth import BenchmarkParams, generate_benchmark
 from conftest import random_corpus, random_kg, small_config
 from oracles import (brute_csls, brute_mutual_nn, brute_rank,
                      finite_difference_grad, naive_grounding_stats,
-                     random_orthogonal, reconstruct, relative_error)
+                     random_orthogonal, reconstruct, relative_error, stacked)
 
 
 def report_line(num, desc, ok, detail=""):
@@ -132,9 +132,9 @@ def test_criterion_3_csls_oracle():
         oracle = brute_csls(list(src), list(tgt), csls_k)
         q = NeighborQuery(metric="csls", csls_k=csls_k)
         ids = [f"e{i}" for i in range(n)]
-        scores = infer_batch(ids, state, q, ids)
+        scores = stacked(infer_batch(ids, state, q, ids))
         max_dev = max(max_dev, float(np.abs(scores - oracle).max()))
-        proposal = alignment._score_matrix(src, tgt, q)
+        proposal = stacked(alignment._score_blocks(src, tgt, q))
         max_dev = max(max_dev, float(np.abs(proposal - oracle).max()))
         for i in range(n):
             gold = int(np.argmax(oracle[i]))
@@ -287,7 +287,7 @@ def test_criterion_5_metric_oracle():
     pairs = [(f"e{i}", f"e{i}") for i in range(n)]
     rep = evaluate(pairs, state, q, p=10, candidate_mode="all")
     ids = [f"e{i}" for i in range(n)]
-    scores = infer_batch(ids, state, q, ids)
+    scores = stacked(infer_batch(ids, state, q, ids))
     oracle_ranks = [brute_rank(scores[i], i) for i in range(n)]
     oracle_ok = (list(rep.ranks) == oracle_ranks
                  and rep.h_at_1 == pytest.approx(

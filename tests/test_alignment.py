@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgalign import alignment
-from kgalign.alignment import (AlignmentSpace, AlignmentState, _score_matrix,
+from kgalign.alignment import (AlignmentSpace, AlignmentState, _score_blocks,
                                infer_batch, load_state, procrustes_solve,
                                propose_pairs, save_state, self_learn,
                                solve_once, unit_rows)
@@ -13,7 +13,7 @@ from kgalign.embedding import TrainingDivergence, init_space, write_embeddings
 
 from conftest import make_corpus, random_kg
 from oracles import (brute_csls, brute_mutual_nn, brute_rank, evaluation_csls,
-                     proposal_csls, random_orthogonal)
+                     proposal_csls, random_orthogonal, stacked)
 
 
 def space_from(entity_vecs, lexeme_vecs=None, prefix="e", lex_prefix="w"):
@@ -103,10 +103,14 @@ def csls(k):
     return NeighborQuery(metric="csls", csls_k=k)
 
 
+def score_matrix(queries, cands, q, cand_ref=None):
+    return stacked(_score_blocks(queries, cands, q, cand_ref))
+
+
 class TestCSLS:
     def test_degenerate_cloud_zero(self):
         cloud = np.tile([0.3, 0.4], (3, 1))
-        got = _score_matrix(cloud, cloud, csls(2))
+        got = score_matrix(cloud, cloud, csls(2))
         np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -115,20 +119,20 @@ class TestCSLS:
         src = rng.standard_normal((3, 5))
         tgt = rng.standard_normal((3, 5))
         expected = brute_csls(src, tgt, k)
-        got = _score_matrix(src, tgt, csls(k))
+        got = score_matrix(src, tgt, csls(k))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         src = rng.standard_normal((4, 3))
         tgt = rng.standard_normal((4, 3))
-        a = _score_matrix(src, tgt, csls(2))
-        b = _score_matrix(src * 7.5, tgt * 0.2, csls(2))
+        a = score_matrix(src, tgt, csls(2))
+        b = score_matrix(src * 7.5, tgt * 0.2, csls(2))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            _score_matrix(np.zeros((1, 2)), np.eye(2), csls(2))
+            score_matrix(np.zeros((1, 2)), np.eye(2), csls(2))
 
     @pytest.mark.parametrize("k", [1, 5, 40])
     def test_equals_earlier_kernels(self, k):
@@ -136,10 +140,10 @@ class TestCSLS:
         queries = rng.standard_normal((30, 6))
         cands = rng.standard_normal((25, 6))
         ref = rng.standard_normal((35, 6))
-        assert np.array_equal(_score_matrix(queries, cands, csls(k)),
+        assert np.array_equal(score_matrix(queries, cands, csls(k)),
                               proposal_csls(queries, cands, k))
         assert np.array_equal(
-            _score_matrix(queries, cands, csls(k), cand_ref=ref),
+            score_matrix(queries, cands, csls(k), cand_ref=ref),
             evaluation_csls(queries, cands, ref, k))
 
 
@@ -156,6 +160,25 @@ def paired_spaces(rng, n_src=300, n_tgt=260, n_lex=60, dim=8, noise=0.3):
             space_from(tgt[:n_tgt - n_lex], tgt[n_tgt - n_lex:]))
 
 
+def planted_state(rng, n, dim=16):
+    """A state of two random n-entity spaces under a random rotation."""
+    state = AlignmentState(source=space_from(rng.standard_normal((n, dim))),
+                           target=space_from(rng.standard_normal((n, dim))),
+                           ent_pairs=[])
+    state.transform = random_orthogonal(rng, dim)
+    return state
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """The peak of memory traced while `fn(*args, **kwargs)` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlocks:
     """Scores taken in many row blocks equal the one-block scores."""
 
@@ -168,10 +191,10 @@ class TestBlocks:
         queries = rng.standard_normal((300, 6))
         cands = rng.standard_normal((260, 6))
         ref = rng.standard_normal((320, 6)) if with_ref else None
-        one = _score_matrix(queries, cands, q, cand_ref=ref)
+        one = score_matrix(queries, cands, q, cand_ref=ref)
         monkeypatch.setattr(alignment, "BLOCK_CELLS", SMALL_BLOCK)
         assert len(list(alignment._row_blocks(300, 260))) == 7
-        many = _score_matrix(queries, cands, q, cand_ref=ref)
+        many = score_matrix(queries, cands, q, cand_ref=ref)
         np.testing.assert_allclose(many, one, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(many.argmax(axis=1),
                                       one.argmax(axis=1))
@@ -209,20 +232,11 @@ class TestBlocks:
         assert all(s != "e6" for s, _ in props)
 
     def test_proposal_memory_below_dense_matrix(self):
-        """Proposing on 3000 x 3000 never holds the dense score matrix."""
-        rng = np.random.default_rng(28)
-        n = 3000
-        src = space_from(rng.standard_normal((n, 16)))
-        tgt = space_from(rng.standard_normal((n, 16)))
-        state = AlignmentState(source=src, target=tgt, ent_pairs=[])
-        state.transform = random_orthogonal(rng, 16)
-        tracemalloc.start()
-        try:
-            propose_pairs(state, csls(10))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
+        """Proposing on 3000 x 3000 holds fewer than three score blocks
+        at once, far below the 72 MB dense score matrix."""
+        state = planted_state(np.random.default_rng(28), 3000)
+        assert peak_bytes(propose_pairs, state, csls(10)) \
+            < 3 * alignment.BLOCK_CELLS * 8
 
 
 class TestProposePairs:
@@ -387,7 +401,7 @@ class TestSelfLearn:
 
 def ranked(state, q, query_id, ids):
     """Candidates best-first under infer_batch, ties to the lower index."""
-    row = infer_batch([query_id], state, q, ids)[0]
+    row = stacked(infer_batch([query_id], state, q, ids))[0]
     ranks = [brute_rank(row, i) for i in range(len(ids))]
     return [ids[i] for i in np.argsort(ranks)]
 
@@ -416,7 +430,8 @@ class TestInfer:
         for metric in ("csls", "l2"):
             q = NeighborQuery(metric=metric)
             assert ranked(state, q, "e1", ["e2"]) == ["e2"]
-            assert np.isfinite(infer_batch(["e1"], state, q, ["e2"])).all()
+            assert np.isfinite(
+                stacked(infer_batch(["e1"], state, q, ["e2"]))).all()
 
     def test_unknown_entity_rejected(self):
         rng = np.random.default_rng(18)
@@ -439,7 +454,7 @@ class TestInfer:
         state.transform = random_orthogonal(rng, 4)
         ids = [f"e{i}" for i in range(6)]
         q = NeighborQuery(metric="l2")
-        scores = infer_batch(ids, state, q, ids)
+        scores = stacked(infer_batch(ids, state, q, ids))
         for row, e in zip(scores, ids):
             mapped = state.transform @ src.vectors[src.items.index(f"@ent:{e}")]
             dists = [np.linalg.norm(mapped - tgt.vectors[j])
@@ -466,7 +481,7 @@ class TestInfer:
         cands = [tgt.vectors[int(e[1:])] for e in cand_ids]
         for k in (1, 3, 20):
             expected = brute_csls(queries, cands, k, cand_ref=list(mapped))
-            got = infer_batch(query_ids, state, csls(k), cand_ids)
+            got = stacked(infer_batch(query_ids, state, csls(k), cand_ids))
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
             # the reference set matters on this fixture
             assert not np.allclose(got, brute_csls(queries, cands, k))

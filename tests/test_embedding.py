@@ -613,6 +613,18 @@ class TestKernelsBitExact:
     def test_pair_array_empty(self, docs):
         assert _pair_array(docs, 3).shape == (0, 2)
 
+    def test_pair_array_radius_past_longest_document(self):
+        """A radius of 10**7 gives the pairs of the longest document's
+        length minus one, the same bytes, without a (documents x radius)
+        array or a loop over 10**7 offsets."""
+        rng = np.random.default_rng(8)
+        docs = [rng.integers(9, size=n) for n in (8, 3, 0, 5)]
+        with time_limit(5):
+            got = _pair_array(docs, 10**7)
+        want = _pair_array(docs, 7)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
 
 class TestObservedTriples:
     @settings(max_examples=80, deadline=None)

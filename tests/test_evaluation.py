@@ -6,8 +6,9 @@ from kgalign.alignment import AlignmentState, infer_batch, unit_rows
 from kgalign.config import NeighborQuery
 from kgalign.evaluation import evaluate
 
-from oracles import brute_rank, random_orthogonal
-from test_alignment import SMALL_BLOCK, space_from
+from oracles import brute_rank, random_orthogonal, stacked
+from test_alignment import (SMALL_BLOCK, peak_bytes, planted_state,
+                            space_from)
 
 
 def make_state(rng, n=20, k=6, noise=0.1):
@@ -80,7 +81,8 @@ class TestAgainstOracle:
         pairs = [(f"e{i}", f"e{i}") for i in range(0, 200, 3)]
         report = evaluate(pairs, state, q, p=10, candidate_mode="all")
         ids = [f"e{i}" for i in range(200)]
-        scores = infer_batch([s for s, _ in pairs], state, q, ids)
+        scores = stacked(infer_batch([s for s, _ in pairs], state, q,
+                                     ids))
         for row, (_, gold), rank in zip(scores, pairs, report.ranks):
             assert rank == brute_rank(row, ids.index(gold))
         oracle_ranks = [brute_rank(row, ids.index(gold))
@@ -105,6 +107,16 @@ def test_ranks_match_one_block(monkeypatch, q):
     many = evaluate(pairs, state, q, candidate_mode="all")
     assert many.ranks == one.ranks
     assert 0 < one.h_at_1 < 1
+
+
+def test_evaluation_memory_below_blocks():
+    """Ranking 3000 queries against 3000 candidates holds fewer than three
+    score blocks at once, far below the 72 MB dense score matrix."""
+    n = 3000
+    state = planted_state(np.random.default_rng(10), n)
+    pairs = [(f"e{i}", f"e{i}") for i in range(n)]
+    assert peak_bytes(evaluate, pairs, state, NeighborQuery(csls_k=10),
+                      candidate_mode="all") < 3 * alignment.BLOCK_CELLS * 8
 
 
 class TestProperties:

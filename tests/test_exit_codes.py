@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from kgalign import alignment, grounding, kg
+from kgalign import alignment, grounding, kg, pipeline
 from kgalign.synth import BenchmarkParams, BenchmarkPaths, generate_benchmark
 
 from conftest import main_exit_code
@@ -21,6 +21,7 @@ def write_vec(path, tokens, mat):
 
 
 SEEDS = "e0\te0\ne1\te1\ne2\te2\n"
+ONE_EPOCH = "dim = 4\nepochs = 1\nmin_freq = 1\n"
 
 
 def align_inputs(tmp_path, zero_row=False, edit_src=None, seeds=SEEDS):
@@ -102,7 +103,7 @@ def run_inputs(tmp_path, config):
 def ablate_inputs(tmp_path, *options):
     """`kgalign ablate` arguments on the `run_inputs` benchmark, with a
     one-epoch config and `options`."""
-    run = run_inputs(tmp_path, "dim = 4\nepochs = 1\nmin_freq = 1\n")
+    run = run_inputs(tmp_path, ONE_EPOCH)
     return ["ablate", *run[1:], *options]
 
 
@@ -156,6 +157,23 @@ def with_bad_byte(args, path, lineno):
     lines[lineno - 1] += b"\xff"
     path.write_bytes(b"\n".join(lines))
     return args
+
+
+def with_bad_gold(args, path):
+    """`args`, after line 2 of the gold file `path` loses its target."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].split("\t")[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return args
+
+
+def out_of_memory(monkeypatch, owner, attr, message=""):
+    """Make `owner.attr` raise MemoryError(message) when called, as an
+    allocation that does not fit would; nothing is allocated."""
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, attr, fail)
 
 
 def align_with_failing_svd(tmp_path, monkeypatch):
@@ -356,8 +374,8 @@ CASES = {
         lambda p, mp: ["synth", "--out", p / "bench", "--relations", 0], 1,
         "error: n_relations must be >= 1"),
     "run-stop-frac-above-1": (
-        lambda p, mp: run_inputs(p, "dim = 4\nepochs = 1\nmin_freq = 1\n")
-        + ["--stop-frac", 5], 1, "stop_fraction"),
+        lambda p, mp: run_inputs(p, ONE_EPOCH) + ["--stop-frac", 5], 1,
+        "stop_fraction"),
     # numpy takes non-negative seeds only; the option says so when parsed
     "synth-seed-negative": (
         lambda p, mp: ["synth", "--out", p / "bench", "--seed", -1], 1,
@@ -378,6 +396,35 @@ CASES = {
     "ablate-settings-commas": (
         lambda p, mp: ablate_inputs(p, "--settings", " , ,"), 1,
         "Invalid value for '--settings': names no ablation setting"),
+    # the gold files are read before the first stage, once
+    "run-gold-malformed": (
+        lambda p, mp: with_bad_gold(run_inputs(p, ONE_EPOCH),
+                                    p / "bench" / "gold_entities.tsv"), 1,
+        "gold_entities.tsv: line 2: expected `source<TAB>target`"),
+    "run-gold-lexicon-malformed": (
+        lambda p, mp: with_bad_gold(
+            run_inputs(p, ONE_EPOCH) + ["--seed-lexicon"],
+            p / "bench" / "gold_lexemes.tsv"), 1,
+        "gold_lexemes.tsv: line 2: expected `source<TAB>target`"),
+    "ablate-gold-malformed": (
+        lambda p, mp: with_bad_gold(ablate_inputs(p),
+                                    p / "bench" / "gold_entities.tsv"), 1,
+        "gold_entities.tsv: line 2: expected `source<TAB>target`"),
+    "ablate-gold-lexicon-malformed": (
+        lambda p, mp: with_bad_gold(
+            ablate_inputs(p, "--settings", "full,with_seed_lexicon"),
+            p / "bench" / "gold_lexemes.tsv"), 1,
+        "gold_lexemes.tsv: line 2: expected `source<TAB>target`"),
+    # an allocation that fails is an input or setting too large, not a crash
+    "align-out-of-memory": (
+        lambda p, mp: out_of_memory(
+            mp, alignment, "self_learn",
+            "Unable to allocate 20.0 GiB for an array with shape "
+            "(50000, 53687)") or align_inputs(p), 1,
+        "error: out of memory: Unable to allocate 20.0 GiB"),
+    "eval-out-of-memory-bare": (
+        lambda p, mp: out_of_memory(mp, pipeline, "evaluate")
+        or eval_inputs(p, lambda text: text), 1, "error: out of memory\n"),
 }
 
 
@@ -389,8 +436,11 @@ def test_exit_code(tmp_path, monkeypatch, capsys, build, code, message):
     out, err = capsys.readouterr()
     assert message in err
     if args[0] in ("run", "ablate") and code == 1:
-        # a rejected input stops the command before its first stage
+        # a rejected input stops the command before its first stage, so
+        # it writes nothing
         assert "stage" not in out
+        assert not [f for f in (tmp_path / "run").rglob("*")
+                    if f.suffix in (".vec", ".grounded")]
     if args[0] == "align":
         # a failed alignment leaves no state file behind
         assert (tmp_path / "state.json").exists() == (code == 0)
