@@ -115,12 +115,30 @@ def procrustes_solve(pairs_x: np.ndarray, pairs_y: np.ndarray) -> np.ndarray:
 BLOCK_CELLS = 1 << 20
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Slices of consecutive rows, each block at most BLOCK_CELLS cells
-    (or one row, if a row alone is larger)."""
-    step = max(1, BLOCK_CELLS // max(n_cols, 1))
+def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None):
+    """Slices of consecutive rows, each block at most `cells` cells,
+    BLOCK_CELLS if None (or one row, if a row alone is larger)."""
+    step = max(1, (BLOCK_CELLS if cells is None else cells) // max(n_cols, 1))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
+
+
+def _block_buffer(n_rows: int, n_cols: int) -> np.ndarray:
+    """Memory for the largest block `_row_blocks(n_rows, n_cols)` yields,
+    its first."""
+    first = next(_row_blocks(n_rows, n_cols), slice(0, 0))
+    return np.empty((first.stop - first.start) * n_cols)
+
+
+def _block_of(buf: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The first n_rows * n_cols cells of `buf`, as an (n_rows, n_cols)
+    array."""
+    return buf[:n_rows * n_cols].reshape(n_rows, n_cols)
+
+
+def _cosines(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """a @ b.T, computed into the front of `buf`."""
+    return np.matmul(a, b.T, out=_block_of(buf, len(a), len(b)))
 
 
 def _topk(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
@@ -142,36 +160,48 @@ def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -np.sqrt(np.maximum(sq, 0.0))
 
 
+def _row_topk_means(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Each row of `a`'s mean cosine to its k nearest rows of `b`, unit
+    rows both, one block of cosines at a time in one buffer."""
+    means = np.empty(len(a))
+    buf = _block_buffer(len(a), len(b))
+    for rows in _row_blocks(len(a), len(b)):
+        means[rows] = _topk(_cosines(a[rows], b, buf), k, axis=1).mean(axis=1)
+    return means
+
+
 def _csls_penalties(queries: np.ndarray, cands: np.ndarray, k: int,
                     cand_ref: np.ndarray | None):
     """The two CSLS penalties of unit rows, one block of cosines at a time:
     each query's mean cosine to its k nearest candidates, and each
     candidate's to its k nearest rows of `cand_ref` (the queries if None).
     """
+    if cand_ref is not None:
+        return (_row_topk_means(queries, cands, k),
+                _row_topk_means(cands, cand_ref, k))
+    # one pass over the cosines for both penalties: the row top-k reorders
+    # each row, so it takes a copy, and the column top-k runs over blocks
     r_query = np.empty(len(queries))
-    top = None                       # running column top-k, cand_ref None
+    top = None
+    buf = _block_buffer(len(queries), len(cands))
+    row_buf = np.empty_like(buf)
     for rows in _row_blocks(len(queries), len(cands)):
-        cos = queries[rows] @ cands.T
-        # the row top-k reorders each row; the column top-k needs them whole
-        r_query[rows] = _topk(cos.copy() if cand_ref is None else cos, k,
-                              axis=1).mean(axis=1)
-        if cand_ref is None:
-            block_top = _topk(cos, k, axis=0)
-            top = block_top if top is None else _topk(
-                np.concatenate([top, block_top]), k, axis=0)
-    if cand_ref is None:
-        return r_query, top.mean(axis=0)
-    r_cand = np.empty(len(cands))
-    for rows in _row_blocks(len(cands), len(cand_ref)):
-        r_cand[rows] = _topk(cands[rows] @ cand_ref.T, k, axis=1).mean(axis=1)
-    return r_query, r_cand
+        cos = _cosines(queries[rows], cands, buf)
+        row_cos = _block_of(row_buf, *cos.shape)
+        np.copyto(row_cos, cos)
+        r_query[rows] = _topk(row_cos, k, axis=1).mean(axis=1)
+        block_top = _topk(cos, k, axis=0)
+        top = block_top if top is None else _topk(
+            np.concatenate([top, block_top]), k, axis=0)
+    return r_query, top.mean(axis=0)
 
 
 def _score_blocks(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
                   cand_ref: np.ndarray | None = None):
     """Yield (rows, scores of those query rows against every candidate),
     higher is better, under the query's metric; the blocks cover the query
-    rows in order and each holds at most BLOCK_CELLS cells.
+    rows in order and each holds at most BLOCK_CELLS cells.  CSLS blocks
+    share one buffer, so a block is valid only until the next is yielded.
 
     CSLS is 2 cos(x, y) minus the mean cosine of x to its csls_k nearest
     candidates, minus the mean cosine of y to its csls_k nearest rows of
@@ -185,9 +215,10 @@ def _score_blocks(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
     if cand_ref is not None:
         cand_ref = unit_rows(cand_ref)
     r_query, r_cand = _csls_penalties(queries, cands, q.csls_k, cand_ref)
+    buf = _block_buffer(len(queries), len(cands))
     for rows in _row_blocks(len(queries), len(cands)):
-        # 2 cos - r_query - r_cand, in that order, in one block's memory
-        block = queries[rows] @ cands.T
+        # 2 cos - r_query - r_cand, in that order, in the one buffer
+        block = _cosines(queries[rows], cands, buf)
         block *= 2.0
         block -= r_query[rows, None]
         block -= r_cand
@@ -313,7 +344,8 @@ def solve_once(state: AlignmentState) -> AlignmentState:
 def infer_batch(query_ids: list[str], state: AlignmentState,
                 q: NeighborQuery, candidate_ids: list[str]):
     """The scores of the queries against the candidates, higher is better,
-    as `_score_blocks` yields them: (query rows, block) in query order.
+    as `_score_blocks` yields them: (query rows, block) in query order,
+    each block valid only until the next is yielded.
 
     For CSLS, the query-side penalty is taken over the candidate set and
     the candidate-side penalty over all mapped source entities.  The ids
@@ -329,16 +361,27 @@ def infer_batch(query_ids: list[str], state: AlignmentState,
 # ---------------------------------------------------------------------------
 # Persistence
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _space_text(space: AlignmentSpace):
+    """The JSON text of one side of a state, in pieces: its vectors a few
+    rows at a time, never as one list of Python floats.  A piece holds
+    1/64 of a score block's cells, whose floats and text take under 1 MB."""
+    yield '{"items":' + _dumps(list(space.items)) + ',"vectors":['
+    n_rows, n_cols = space.vectors.shape
+    for i, rows in enumerate(_row_blocks(n_rows, n_cols, BLOCK_CELLS // 64)):
+        yield ("," if i else "") + _dumps(space.vectors[rows].tolist())[1:-1]
+    yield "]}"
+
+
 def save_state(state: AlignmentState, path) -> None:
-    payload = {
-        "source": {
-            "items": list(state.source.items),
-            "vectors": state.source.vectors.tolist(),
-        },
-        "target": {
-            "items": list(state.target.items),
-            "vectors": state.target.vectors.tolist(),
-        },
+    """Write `state` as the text of `json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`, streaming the vectors of each side."""
+    fields = {
+        "source": _space_text(state.source),
+        "target": _space_text(state.target),
         "ent_pairs": [list(p) for p in state.ent_pairs],
         "lex_pairs": [list(p) for p in state.lex_pairs],
         "transform": state.transform.tolist(),
@@ -347,7 +390,12 @@ def save_state(state: AlignmentState, path) -> None:
         "lexeme_top_f": state.lexeme_top_f,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        for i, key in enumerate(sorted(fields)):
+            fh.write(("," if i else "{") + _dumps(key) + ":")
+            value = fields[key]
+            fh.writelines(value if key in ("source", "target")
+                          else [_dumps(value)])
+        fh.write("}")
 
 
 def _space_of(side: str, payload) -> AlignmentSpace:
@@ -383,10 +431,12 @@ def load_state(path) -> AlignmentState:
     """The state saved by `save_state`; a malformed file raises a
     ValueError that names it."""
     with open_text(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not a JSON state file: {exc}") from None
+        text = fh.read()             # the file's bytes go when it closes
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON state file: {exc}") from None
+    del text
     try:
         state = AlignmentState(
             source=_space_of("source", data["source"]),

@@ -77,18 +77,20 @@ _TYPES = {f.name: type(f.default) for f in fields(OptimizerConfig)
           if not isinstance(f.default, bool)}
 
 
-def open_text(path) -> io.StringIO:
+def open_text(path) -> io.TextIOWrapper:
     """The lines of UTF-8 file `path`, as `open(path, encoding="utf-8")`
-    reads them; a byte that is not UTF-8 raises a ValueError with the file
-    and line.  Every input file is read through here."""
+    reads them, from one read of its bytes; a byte that is not UTF-8
+    raises a ValueError with the file and line.  Every input file is read
+    through here."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {lineno}: byte "
                          f"{data[exc.start:exc.end]!r} is not UTF-8") from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 
 def read_fields(path, expected: str):

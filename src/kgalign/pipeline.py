@@ -50,14 +50,20 @@ def split_gold(gold_pairs: list[tuple[str, str]], seed_fraction: float,
     return seed_pairs, test_pairs
 
 
-def ground_stage(paths: BenchmarkPaths, log=_quiet):
-    """(KG, grounded corpus) of the source and of the target language."""
+def load_graphs(paths: BenchmarkPaths):
+    """The KG of the source and of the target language."""
+    return (kg.load_kg(paths.src_triples, "src"),
+            kg.load_kg(paths.tgt_triples, "tgt"))
+
+
+def ground_stage(paths: BenchmarkPaths, graphs, log=_quiet):
+    """(KG, grounded corpus) of the source and of the target language,
+    whose KGs are `graphs`."""
     log("stage ground: matching surface forms")
     grounded, notes = [], []
-    for lang, triples, forms, corpus_path in (
-            ("src", paths.src_triples, paths.src_forms, paths.src_corpus),
-            ("tgt", paths.tgt_triples, paths.tgt_forms, paths.tgt_corpus)):
-        graph = kg.load_kg(triples, lang)
+    for lang, graph, forms, corpus_path in (
+            ("src", graphs[0], paths.src_forms, paths.src_corpus),
+            ("tgt", graphs[1], paths.tgt_forms, paths.tgt_corpus)):
         index = grounding.build_index(forms, graph)
         corpus, stats = grounding.ground_corpus(corpus_path, index, graph)
         grounded.append((graph, corpus))
@@ -121,17 +127,17 @@ def train_stage(cfg: PipelineConfig, grounded, seed: int, log=_quiet):
     return train_spaces([cfg.optimizer], grounded, seed)[cfg.optimizer]
 
 
-def _check_pairs(kind: str, pairs, source: AlignmentSpace,
-                 target: AlignmentSpace, path) -> None:
-    """Seed or test entity pairs, at least one, name known entities, each
+def _check_pairs(kind: str, pairs, known, path) -> None:
+    """Seed or test entity pairs, at least one, name entities of `known`,
+    the (source, target) collections of entity items (`@ent:<id>`), each
     at most once a side."""
     if not pairs:
         raise ValueError(f"{path}: no {kind} pairs")
     used = (set(), set())
     for pair in pairs:
-        for side, space, entity, seen in zip(("source", "target"),
-                                             (source, target), pair, used):
-            if ENTITY_PREFIX + entity not in space.index:
+        for side, items, entity, seen in zip(("source", "target"), known,
+                                             pair, used):
+            if ENTITY_PREFIX + entity not in items:
                 problem = "is unknown"
             elif entity in seen:
                 problem = "is used twice"
@@ -149,7 +155,7 @@ def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
     save the state.  With `cfg.use_seed_lexicon`, the lexicon pairs whose
     two items are in the spaces join the seeds."""
     log("stage align: self-learning transform induction")
-    _check_pairs("seed", seed_pairs, source, target, seed_path)
+    _check_pairs("seed", seed_pairs, (source.index, target.index), seed_path)
     state = AlignmentState(source=source, target=target,
                            ent_pairs=list(seed_pairs),
                            lexeme_top_f=cfg.lexeme_top_f)
@@ -175,7 +181,8 @@ def evaluate_stage(cfg: PipelineConfig, test_pairs, test_path,
     """Score the test pairs read from `test_path`, which must name known
     entities, each at most once a side."""
     log("stage eval: ranking held-out gold pairs")
-    _check_pairs("test", test_pairs, state.source, state.target, test_path)
+    _check_pairs("test", test_pairs, (state.source.index, state.target.index),
+                 test_path)
     report = evaluate(test_pairs, state, cfg.neighbor_query(), p=cfg.eval_p,
                       candidate_mode=cfg.candidate_mode)
     if report_path is not None:
@@ -185,12 +192,21 @@ def evaluate_stage(cfg: PipelineConfig, test_pairs, test_path,
     return report
 
 
-def read_gold(paths: BenchmarkPaths, configs) -> tuple[list, list]:
+def read_gold(paths: BenchmarkPaths, configs, graphs,
+              seed: int) -> tuple[list, list]:
     """The gold entity pairs, and the gold lexeme pairs if one of
-    `configs` uses the seed lexicon (else none).  Commands read them before
-    their first stage, so that a malformed line stops them before they
-    write anything."""
+    `configs` uses the seed lexicon (else none).  The seed and test pairs
+    of each config's split must name entities of `graphs`, the source and
+    target KGs, each at most once a side.  Commands read them before their
+    first stage, so that a malformed line or an unknown entity stops them
+    before they write anything."""
     entities = alignment.load_seed_pairs(paths.gold_entities)
+    known = tuple({ENTITY_PREFIX + e for e in graph.entities}
+                  for graph in graphs)
+    for fraction in dict.fromkeys(c.seed_fraction for c in configs):
+        for kind, pairs in zip(("seed", "test"),
+                               split_gold(entities, fraction, seed)):
+            _check_pairs(kind, pairs, known, paths.gold_entities)
     if not any(c.use_seed_lexicon for c in configs):
         return entities, []
     return entities, alignment.load_seed_pairs(paths.gold_lexemes)
@@ -222,8 +238,9 @@ def _align_and_evaluate(cfg, paths, gold, grounded, spaces, out: Path,
 
 def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
                  seed: int, log=_quiet) -> PipelineResult:
-    gold = read_gold(paths, [cfg])
-    grounded = ground_stage(paths, log)
+    graphs = load_graphs(paths)
+    gold = read_gold(paths, [cfg], graphs, seed)
+    grounded = ground_stage(paths, graphs, log)
     spaces = train_stage(cfg, grounded, seed, log)
     return _align_and_evaluate(cfg, paths, gold, grounded, spaces,
                                Path(out_dir), seed, log)
@@ -261,8 +278,9 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
                for name in (ABLATIONS if names is None else names)}
     if not configs:
         raise ConfigError("no ablation setting to run")
-    gold = read_gold(paths, configs.values())
-    grounded = ground_stage(paths, log)
+    graphs = load_graphs(paths)
+    gold = read_gold(paths, configs.values(), graphs, seed)
+    grounded = ground_stage(paths, graphs, log)
     spaces = train_spaces(dict.fromkeys(c.optimizer for c in configs.values()),
                           grounded, seed)
     announced = set()

@@ -347,10 +347,11 @@ def evaluation_csls(queries, cands, all_src, csls_k):
 
 def stacked(blocks):
     """The (rows, block) pairs a blocked scorer yields, as one matrix; the
-    blocks must cover the rows in order."""
+    blocks must cover the rows in order.  Each block is copied, as the
+    scorer may build the next one in the same memory."""
     parts, end = [], 0
     for rows, block in blocks:
         assert rows.start == end and rows.stop - rows.start == len(block)
-        parts.append(block)
+        parts.append(block.copy())
         end = rows.stop
     return np.vstack(parts)

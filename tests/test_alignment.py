@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -527,6 +528,57 @@ class TestStateIO:
         np.testing.assert_array_equal(loaded.transform, state.transform)
         np.testing.assert_array_equal(loaded.source.vectors, src.vectors)
         assert loaded.target.items == tgt.items
+
+    @pytest.mark.parametrize("n_src, n_tgt, n_lex", [(9, 7, 0), (9, 7, 4),
+                                                     (1, 1, 0), (1, 1, 1)])
+    def test_bytes_are_one_dumps_of_the_payload(self, tmp_path, monkeypatch,
+                                                 n_src, n_tgt, n_lex):
+        """Written a few rows at a time, the file is the text of one
+        json.dumps of the whole state."""
+        rng = np.random.default_rng(23)
+        src = space_from(rng.standard_normal((n_src, 3)),
+                         rng.standard_normal((n_lex, 3)) if n_lex else None)
+        tgt = space_from(rng.standard_normal((n_tgt, 3)),
+                         rng.standard_normal((n_lex, 3)) if n_lex else None)
+        state = AlignmentState(
+            source=src, target=tgt, ent_pairs=[("e0", "e0")],
+            lex_pairs=[(f"w{i}", f"w{i}") for i in range(n_lex)],
+            transform=random_orthogonal(rng, 3), iteration=2,
+            proposal_counts=[1, 0], lexeme_top_f=7)
+        payload = {
+            side: {"items": list(space.items),
+                   "vectors": space.vectors.tolist()}
+            for side, space in (("source", src), ("target", tgt))}
+        payload.update(
+            ent_pairs=[["e0", "e0"]],
+            lex_pairs=[[s, t] for s, t in state.lex_pairs],
+            transform=state.transform.tolist(), iteration=2,
+            proposal_counts=[1, 0], lexeme_top_f=7)
+        # text pieces of 64 * 6 // 64 = 6 cells: two rows of three
+        monkeypatch.setattr(alignment, "BLOCK_CELLS", 64 * 6)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            payload, sort_keys=True, separators=(",", ":"))
+
+    @staticmethod
+    def planted_file(tmp_path):
+        """A state of two 3000-entity 32-d spaces and the path of its file,
+        about 4 MB."""
+        state = planted_state(np.random.default_rng(29), 3000, dim=32)
+        state.ent_pairs = [(f"e{i}", f"e{i}") for i in range(1000)]
+        return state, tmp_path / "state.json"
+
+    def test_save_memory_below_file_size(self, tmp_path):
+        """save_state traces less memory than the file it writes holds."""
+        state, path = self.planted_file(tmp_path)
+        assert peak_bytes(save_state, state, path) < path.stat().st_size
+
+    def test_load_memory_below_five_file_sizes(self, tmp_path):
+        """load_state traces less than five times the size of its file."""
+        state, path = self.planted_file(tmp_path)
+        save_state(state, path)
+        assert peak_bytes(load_state, path) < 5 * path.stat().st_size
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(22)

@@ -159,12 +159,18 @@ def with_bad_byte(args, path, lineno):
     return args
 
 
-def with_bad_gold(args, path):
-    """`args`, after line 2 of the gold file `path` loses its target."""
+def with_gold_edit(args, path, lineno, edit):
+    """`args`, after line `lineno` (1-based) of the gold file `path`
+    becomes `edit(line)`."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[1] = lines[1].split("\t")[0]
+    lines[lineno - 1] = edit(lines[lineno - 1])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return args
+
+
+def with_bad_gold(args, path):
+    """`args`, after line 2 of the gold file `path` loses its target."""
+    return with_gold_edit(args, path, 2, lambda line: line.split("\t")[0])
 
 
 def out_of_memory(monkeypatch, owner, attr, message=""):
@@ -415,6 +421,33 @@ CASES = {
             ablate_inputs(p, "--settings", "full,with_seed_lexicon"),
             p / "bench" / "gold_lexemes.tsv"), 1,
         "gold_lexemes.tsv: line 2: expected `source<TAB>target`"),
+    # the gold entities are checked against the KGs before the first
+    # stage: at seed 0 lines 1 (a0, b32) and 21 (a20, b33) are test pairs,
+    # a20 the first, and line 12 (a11, b37) is a seed pair
+    "run-gold-unknown-test-source": (
+        lambda p, mp: with_gold_edit(
+            run_inputs(p, ONE_EPOCH), p / "bench" / "gold_entities.tsv", 1,
+            lambda line: "zz\tb32"), 1,
+        "gold_entities.tsv: test pair zz\tb32: source entity 'zz' is "
+        "unknown"),
+    "run-gold-unknown-seed-target": (
+        lambda p, mp: with_gold_edit(
+            run_inputs(p, ONE_EPOCH), p / "bench" / "gold_entities.tsv", 12,
+            lambda line: "a11\tzz"), 1,
+        "gold_entities.tsv: seed pair a11\tzz: target entity 'zz' is "
+        "unknown"),
+    "run-gold-used-twice": (
+        lambda p, mp: with_gold_edit(
+            run_inputs(p, ONE_EPOCH), p / "bench" / "gold_entities.tsv", 21,
+            lambda line: "a20\tb32"), 1,
+        "gold_entities.tsv: test pair a0\tb32: target entity 'b32' is "
+        "used twice"),
+    "ablate-gold-unknown-test-target": (
+        lambda p, mp: with_gold_edit(
+            ablate_inputs(p), p / "bench" / "gold_entities.tsv", 1,
+            lambda line: "a0\tzz"), 1,
+        "gold_entities.tsv: test pair a0\tzz: target entity 'zz' is "
+        "unknown"),
     # an allocation that fails is an input or setting too large, not a crash
     "align-out-of-memory": (
         lambda p, mp: out_of_memory(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kgalign.alignment import (AlignmentSpace, AlignmentState,
                                load_seed_pairs, load_state, save_state)
-from kgalign.config import parse_config_file
+from kgalign.config import open_text, parse_config_file
 from kgalign.embedding import read_embeddings
 from kgalign.grounding import (SurfaceFormIndex, build_index, ground_corpus,
                                load_pregrounded)
@@ -180,6 +180,27 @@ def test_load_state_checks_each_side(tmp_path_factory, edits):
         assert len(set(space.items)) == len(space.items)
         assert np.isfinite(space.vectors).all()
         assert space.vectors.any(axis=1).all()
+
+
+# line ends and marks that two readers could split or strip differently
+NEWLINE_TEXTS = st.lists(st.one_of(
+    st.sampled_from(["a", "b c", "\t", "\n", "\r\n", "\r", "\ufeff",
+                     "\u2028", "\x85", "\x0c", "é"]),
+    st.text(max_size=3))).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=NEWLINE_TEXTS)
+def test_open_text_reads_as_open(tmp_path_factory, text):
+    path = write(tmp_path_factory, text)
+    with open(path, encoding="utf-8") as fh:
+        lines = list(fh)
+    with open(path, encoding="utf-8") as fh:
+        whole = fh.read()
+    with open_text(path) as fh:
+        assert list(fh) == lines
+    with open_text(path) as fh:
+        assert fh.read() == whole
 
 
 KG = from_string_triples([("a", "r", "b")], "xx")
