@@ -10,6 +10,7 @@ applied with AMSGrad.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -562,7 +563,13 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: line 1: expected a `<count> <dim>` "
                              "header")
         count, dim = int(header[0]), int(header[1])
-        line_of, rows = {}, []
+        # A row of `dim` values takes at least 2 * dim characters, so the
+        # file's size bounds the rows it can hold: a header that promises
+        # more allocates no more than the file can fill, and one whose
+        # width no row can fill allocates nothing.
+        rows = min(count, os.path.getsize(path) // max(2 * dim, 1))
+        mat = np.empty((rows, dim if rows else 0))
+        line_of = {}
         for lineno, line in enumerate(fh, start=2):
             token, *values = line.rstrip("\n").split(" ")
             where = f"{path}: line {lineno}:"
@@ -573,17 +580,18 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
                 raise ValueError(f"{where} {len(values)} values, the header "
                                  f"says {dim}")
             try:
-                rows.append([float(x) for x in values])
+                row = [float(x) for x in values]
             except ValueError as exc:
                 raise ValueError(f"{where} {exc}") from None
+            if len(line_of) < len(mat):
+                mat[len(line_of)] = row
             line_of[token] = lineno
     tokens = list(line_of)
     if len(tokens) != count:
         raise ValueError(f"{path}: line {min(len(tokens), count) + 2}: "
                          f"{len(tokens)} rows, the header says {count}")
-    mat = np.array(rows).reshape(count, dim)
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value for "
                          f"{tokens[bad[0]]!r}")
-    return tokens, mat
+    return tokens, mat.reshape(count, dim)

@@ -43,6 +43,32 @@ def entity_token(entity_id: str, surface: tuple[str, ...] = ()) -> Token:
                  surface=surface)
 
 
+class TokenTable:
+    """One shared `Token` per distinct token of a corpus.
+
+    A corpus repeats a small vocabulary many times over, so its documents
+    hold references to shared tokens rather than one object an occurrence.
+    Lexemes are keyed by their text, mentions by (entity id, surface).
+    Tokens are frozen, so sharing them is safe.
+    """
+
+    def __init__(self):
+        self._tokens: dict = {}
+
+    def lexeme(self, text: str) -> Token:
+        tok = self._tokens.get(text)
+        if tok is None:
+            tok = self._tokens[text] = lexeme(text)
+        return tok
+
+    def mention(self, entity_id: str, surface: tuple[str, ...]) -> Token:
+        key = (entity_id, surface)
+        tok = self._tokens.get(key)
+        if tok is None:
+            tok = self._tokens[key] = entity_token(entity_id, surface)
+        return tok
+
+
 class SurfaceFormIndex:
     """Prefix trie over normalized surface-form tokens.
 
@@ -115,19 +141,23 @@ def build_index(forms_path, kg: KnowledgeGraph,
     return index
 
 
-def ground_tokens(tokens: list[str], index: SurfaceFormIndex) -> list[Token]:
-    """Greedy left-to-right longest-match grounding of one document."""
+def ground_tokens(tokens: list[str], index: SurfaceFormIndex,
+                  table: TokenTable | None = None) -> list[Token]:
+    """Greedy left-to-right longest-match grounding of one document; its
+    tokens come from `table`, a new one if none is given."""
+    if table is None:
+        table = TokenTable()
     out: list[Token] = []
     i = 0
     n = len(tokens)
     while i < n:
         match = index.longest_match(tokens, i)
         if match is None:
-            out.append(lexeme(tokens[i]))
+            out.append(table.lexeme(tokens[i]))
             i += 1
         else:
             ent, length = match
-            out.append(entity_token(ent, tuple(tokens[i:i + length])))
+            out.append(table.mention(ent, tuple(tokens[i:i + length])))
             i += length
     return out
 
@@ -148,7 +178,9 @@ def grounding_stats(corpus: GroundedCorpus,
 
 def ground_corpus(corpus_path, index: SurfaceFormIndex,
                   kg: KnowledgeGraph) -> tuple[GroundedCorpus, GroundingStats]:
-    """Ground a pre-tokenized corpus file (one document per line)."""
+    """Ground a pre-tokenized corpus file (one document per line).  Its
+    documents share one token object per distinct token."""
+    table = TokenTable()
     docs: list[list[Token]] = []
     with open_text(corpus_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -161,7 +193,7 @@ def ground_corpus(corpus_path, index: SurfaceFormIndex,
                             f"{corpus_path}: line {lineno}: raw token "
                             f"{tok!r} starts with the entity marker "
                             f"{ENTITY_PREFIX!r}")
-            docs.append(ground_tokens(tokens, index))
+            docs.append(ground_tokens(tokens, index, table))
     corpus = GroundedCorpus(docs)
     return corpus, grounding_stats(corpus, kg)
 
@@ -170,15 +202,17 @@ def load_pregrounded(corpus_path, kg: KnowledgeGraph) -> GroundedCorpus:
     """Read an externally grounded corpus (`@ent:<id>` entity markers).
 
     A marker with no id or with an id not in the KG raises a ValueError
-    with the file and line, so no lexeme starts with the marker.
+    with the file and line, so no lexeme starts with the marker.  The
+    documents share one token object per distinct token.
     """
+    table = TokenTable()
     docs: list[list[Token]] = []
     with open_text(corpus_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             doc: list[Token] = []
             for raw in line.split():
                 if not raw.startswith(ENTITY_PREFIX):
-                    doc.append(lexeme(raw))
+                    doc.append(table.lexeme(raw))
                     continue
                 ent = raw[len(ENTITY_PREFIX):]
                 if ent not in kg.ent_index:
@@ -187,7 +221,7 @@ def load_pregrounded(corpus_path, kg: KnowledgeGraph) -> GroundedCorpus:
                     raise ValueError(f"{corpus_path}: line {lineno}: "
                                      f"malformed entity marker {raw!r}: "
                                      f"it {problem}")
-                doc.append(entity_token(ent, (raw,)))
+                doc.append(table.mention(ent, (raw,)))
             docs.append(doc)
     return GroundedCorpus(docs)
 

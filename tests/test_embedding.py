@@ -20,6 +20,7 @@ from oracles import (add_at_kg_grads, add_at_text_grads,
                      allocating_amsgrad_step, brute_pairs,
                      finite_difference_grad, relative_error,
                      set_loop_negatives, stacked_pairs)
+from test_alignment import peak_bytes
 
 
 def make_space(kg, corpus, cfg, seed=0):
@@ -474,6 +475,31 @@ class TestSerialization:
         rel_tokens, rel_mat = read_embeddings(tmp_path / "emb.rel.vec")
         assert tuple(rel_tokens) == space.relations
         np.testing.assert_array_equal(rel_mat, space.rel)
+
+    def test_read_memory_below_file_size(self, tmp_path):
+        # rows parse into one preallocated matrix, not a list of float
+        # lists: the parse peaked at 2.9x the file's size before
+        rng = np.random.default_rng(0)
+        mat = rng.standard_normal((2000, 32))
+        path = tmp_path / "x.vec"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("2000 32\n")
+            for i, row in enumerate(mat):
+                fh.write(f"@ent:e{i} " + " ".join(map(repr, row.tolist()))
+                         + "\n")
+        assert peak_bytes(read_embeddings, path) < 2.5 * path.stat().st_size
+        np.testing.assert_array_equal(read_embeddings(path)[1], mat)
+
+    @pytest.mark.parametrize("header, message", [
+        (f"{10**15} 2", f"line 4: 2 rows, the header says {10**15}"),
+        (f"2 {10**20}", f"line 2: 2 values, the header says {10**20}"),
+    ])
+    def test_header_beyond_file_not_allocated(self, tmp_path, header,
+                                              message):
+        path = tmp_path / "x.vec"
+        path.write_text(f"{header}\na 1 2\nb 3 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"x.vec: {message}$"):
+            read_embeddings(path)
 
     def test_lexemes_frequency_ordered(self):
         corpus = make_corpus([["b", "a", "a", "a", "c", "c"]])

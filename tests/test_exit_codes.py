@@ -65,8 +65,8 @@ def with_lexicon(tmp_path, text):
 def eval_inputs(tmp_path, edit_state, test="e3\te3\ne4\te4\n"):
     """`kgalign eval` arguments on a saved state of the `align_inputs`
     spaces with one seed pair and the identity transform, after
-    `edit_state` maps the file's text to the text kept, and a test file
-    holding `test`."""
+    `edit_state` maps the file's text to the text kept, a test file
+    holding `test`, and a report file."""
     align_inputs(tmp_path)
     state = alignment.AlignmentState(
         source=alignment.AlignmentSpace.from_file(tmp_path / "src.vec"),
@@ -77,7 +77,8 @@ def eval_inputs(tmp_path, edit_state, test="e3\te3\ne4\te4\n"):
     path.write_text(edit_state(path.read_text(encoding="utf-8")),
                     encoding="utf-8")
     (tmp_path / "test.tsv").write_text(test, encoding="utf-8")
-    return ["eval", "--state", path, "--test", tmp_path / "test.tsv"]
+    return ["eval", "--state", path, "--test", tmp_path / "test.tsv",
+            "--out", tmp_path / "report.tsv"]
 
 
 def edit_json(edit):
@@ -326,6 +327,15 @@ CASES = {
         lambda p, mp: align_inputs(p, edit_src=edit_line(
             1, lambda line: "13 3")),
         1, "src.vec: line 14: 12 rows, the header says 13"),
+    # the matrix is sized by what the file can hold, not by the header
+    "align-vec-row-count-huge": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            1, lambda line: f"{10**15} 3")),
+        1, f"src.vec: line 14: 12 rows, the header says {10**15}"),
+    "align-vec-width-huge": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            1, lambda line: f"12 {10**20}")),
+        1, f"src.vec: line 2: 3 values, the header says {10**20}"),
     "align-seed-unknown-entity": (
         lambda p, mp: align_inputs(p, seeds=SEEDS + "zz\te5\n"), 1,
         "seeds.tsv: seed pair zz\te5: source entity 'zz' is unknown"),
@@ -477,6 +487,8 @@ def test_exit_code(tmp_path, monkeypatch, capsys, build, code, message):
     if args[0] == "align":
         # a failed alignment leaves no state file behind
         assert (tmp_path / "state.json").exists() == (code == 0)
+    if args[0] == "eval":
+        assert (tmp_path / "report.tsv").exists() == (code == 0)
     if args[0] == "train":
         assert (tmp_path / "emb.vec").exists() == (code == 0)
     if args[0] == "ground":

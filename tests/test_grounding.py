@@ -1,12 +1,17 @@
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign.embedding import RARE_TOKEN, encode_corpus, init_space, vocabulary
-from kgalign.grounding import (GroundedCorpus, SurfaceFormIndex, build_index,
-                               ground_corpus, ground_tokens, grounding_stats,
-                               lexeme, load_pregrounded, write_grounded)
+from kgalign.grounding import (ENTITY_PREFIX, GroundedCorpus, SurfaceFormIndex,
+                               build_index, entity_token, ground_corpus,
+                               ground_tokens, grounding_stats, lexeme,
+                               load_pregrounded, write_grounded)
 from kgalign.kg import from_string_triples
 
 from conftest import make_corpus, small_config
@@ -157,6 +162,105 @@ class TestGroundCorpus:
         if covered:
             assert stats.avg_match == pytest.approx(
                 sum(mentions[e] for e in covered) / len(covered))
+
+
+def held_bytes(fn, *args):
+    """`fn(*args)` and the bytes traced while it runs that it still holds,
+    the memory of its result, when it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def write_lines(lines):
+    """A temporary file holding `lines`; the caller removes it."""
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return path
+
+
+def assert_shared(corpus):
+    """Equal tokens anywhere in the corpus are one object."""
+    tokens = [t for doc in corpus.documents for t in doc]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
+# few words in mixed case, so forms nest, overlap and fold into each other
+WORDS = st.sampled_from(["a", "b", "c", "A", "B", "x"])
+FORMS = st.lists(st.tuples(st.sampled_from(["e0", "e1", "e2", "e3"]),
+                           st.lists(WORDS, min_size=1, max_size=3)),
+                 max_size=8)
+LINES = st.lists(st.lists(WORDS, max_size=12), min_size=1, max_size=8)
+
+
+class TestSharedTokens:
+    """A grounded corpus holds one token object per distinct token."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(forms=FORMS, lines=LINES, case_fold=st.booleans())
+    def test_ground_corpus_equals_per_line_grounding(self, forms, lines,
+                                                     case_fold):
+        kg = from_string_triples([("e0", "r", "e1"), ("e2", "r", "e3")],
+                                 "xx")
+        index = SurfaceFormIndex(case_fold=case_fold)
+        for ent, form in forms:
+            index.insert(form, ent)
+        path = write_lines(" ".join(line) for line in lines)
+        try:
+            corpus, _ = ground_corpus(path, index, kg)
+        finally:
+            os.remove(path)
+        # Token equality compares entity, text and surface
+        assert corpus.documents == [ground_tokens(line, index)
+                                    for line in lines]
+        assert_shared(corpus)
+
+    @settings(max_examples=50, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from(
+        ["w", "W", "v", "@ent:a", "@ent:b", "@ent:e"]), max_size=12),
+        min_size=1, max_size=8))
+    def test_pregrounded_tokens_shared(self, lines):
+        kg = from_string_triples([("a", "r", "b"), ("b", "r", "e")], "xx")
+        path = write_lines(" ".join(line) for line in lines)
+        try:
+            corpus = load_pregrounded(path, kg)
+        finally:
+            os.remove(path)
+        assert corpus.documents == [
+            [entity_token(raw[len(ENTITY_PREFIX):], (raw,))
+             if raw.startswith(ENTITY_PREFIX) else lexeme(raw)
+             for raw in line] for line in lines]
+        assert_shared(corpus)
+
+    @pytest.mark.parametrize("pregrounded", [False, True],
+                             ids=["ground_corpus", "load_pregrounded"])
+    def test_memory_per_token(self, tmp_path, pregrounded):
+        # 20,000 tokens over 40 distinct ones: a token object per
+        # occurrence took about 210 B a token, shared tokens take about 10 B
+        rng = np.random.default_rng(0)
+        kg = from_string_triples(
+            [(f"e{i}", "r", f"e{(i + 1) % 20}") for i in range(20)], "xx")
+        words = [f"w{i}" for i in range(20)] + \
+            [f"{ENTITY_PREFIX}e{i}" if pregrounded else f"name{i}"
+             for i in range(20)]
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(" ".join(rng.choice(words, size=100)) + "\n"
+                                for _ in range(200)), encoding="utf-8")
+        if pregrounded:
+            corpus, held = held_bytes(load_pregrounded, path, kg)
+        else:
+            forms = tmp_path / "forms.tsv"
+            forms.write_text("".join(f"e{i}\tname{i}\n" for i in range(20)),
+                             encoding="utf-8")
+            index = build_index(forms, kg)
+            (corpus, _), held = held_bytes(ground_corpus, path, index, kg)
+        n_tokens = sum(len(doc) for doc in corpus.documents)
+        assert n_tokens == 20_000
+        assert held < 32 * n_tokens
 
 
 class TestPregrounded:
