@@ -111,8 +111,8 @@ def procrustes_solve(pairs_x: np.ndarray, pairs_y: np.ndarray) -> np.ndarray:
     return vt.T @ u.T
 
 
-# Cells of one block of a score matrix: 2**20 float64 values, 8 MB.
-BLOCK_CELLS = 1 << 20
+# Cells of one block of a score matrix: 2**19 float64 values, 4 MB.
+BLOCK_CELLS = 1 << 19
 
 
 def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None):
@@ -130,26 +130,19 @@ def _block_buffer(n_rows: int, n_cols: int) -> np.ndarray:
     return np.empty((first.stop - first.start) * n_cols)
 
 
-def _block_of(buf: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """The first n_rows * n_cols cells of `buf`, as an (n_rows, n_cols)
-    array."""
-    return buf[:n_rows * n_cols].reshape(n_rows, n_cols)
-
-
 def _cosines(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """a @ b.T, computed into the front of `buf`."""
-    return np.matmul(a, b.T, out=_block_of(buf, len(a), len(b)))
+    out = buf[:len(a) * len(b)].reshape(len(a), len(b))
+    return np.matmul(a, b.T, out=out)
 
 
-def _topk(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """The min(k, n) largest values along `axis`, in no order, as a new
+def _row_topk(scores: np.ndarray, k: int) -> np.ndarray:
+    """The min(k, n) largest values of each row, in no order, as a new
     array; `scores` is partitioned in place."""
-    n = scores.shape[axis]
+    n = scores.shape[1]
     k = min(k, n)
-    scores.partition(n - k, axis=axis)
-    sl = [slice(None)] * scores.ndim
-    sl[axis] = slice(n - k, n)
-    return scores[tuple(sl)].copy()
+    scores.partition(n - k, axis=1)
+    return scores[:, n - k:].copy()
 
 
 def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,40 +153,33 @@ def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -np.sqrt(np.maximum(sq, 0.0))
 
 
-def _row_topk_means(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+def _row_topk_means(a: np.ndarray, b: np.ndarray, k: int,
+                    column_sum: bool = False) -> np.ndarray:
     """Each row of `a`'s mean cosine to its k nearest rows of `b`, unit
-    rows both, one block of cosines at a time in one buffer."""
+    rows both, one block of cosines at a time in one buffer.  With
+    `column_sum` the k values are summed in order, as a column mean of
+    `b @ a.T` sums them, not pairwise as a row mean does."""
     means = np.empty(len(a))
     buf = _block_buffer(len(a), len(b))
     for rows in _row_blocks(len(a), len(b)):
-        means[rows] = _topk(_cosines(a[rows], b, buf), k, axis=1).mean(axis=1)
+        top = _row_topk(_cosines(a[rows], b, buf), k)
+        means[rows] = (np.ascontiguousarray(top.T).mean(axis=0)
+                       if column_sum else top.mean(axis=1))
     return means
 
 
 def _csls_penalties(queries: np.ndarray, cands: np.ndarray, k: int,
                     cand_ref: np.ndarray | None):
-    """The two CSLS penalties of unit rows, one block of cosines at a time:
-    each query's mean cosine to its k nearest candidates, and each
-    candidate's to its k nearest rows of `cand_ref` (the queries if None).
-    """
-    if cand_ref is not None:
-        return (_row_topk_means(queries, cands, k),
-                _row_topk_means(cands, cand_ref, k))
-    # one pass over the cosines for both penalties: the row top-k reorders
-    # each row, so it takes a copy, and the column top-k runs over blocks
-    r_query = np.empty(len(queries))
-    top = None
-    buf = _block_buffer(len(queries), len(cands))
-    row_buf = np.empty_like(buf)
-    for rows in _row_blocks(len(queries), len(cands)):
-        cos = _cosines(queries[rows], cands, buf)
-        row_cos = _block_of(row_buf, *cos.shape)
-        np.copyto(row_cos, cos)
-        r_query[rows] = _topk(row_cos, k, axis=1).mean(axis=1)
-        block_top = _topk(cos, k, axis=0)
-        top = block_top if top is None else _topk(
-            np.concatenate([top, block_top]), k, axis=0)
-    return r_query, top.mean(axis=0)
+    """The two CSLS penalties of unit rows, each from row blocks of
+    cosines: each query's mean cosine to its k nearest candidates, and
+    each candidate's to its k nearest rows of `cand_ref`.  With no
+    `cand_ref` the reference rows are the queries, and the candidate
+    penalty is the column top-k mean of the query-candidate cosines,
+    taken as the row top-k of the candidate-query ones."""
+    r_query = _row_topk_means(queries, cands, k)
+    if cand_ref is None:
+        return r_query, _row_topk_means(cands, queries, k, column_sum=True)
+    return r_query, _row_topk_means(cands, cand_ref, k)
 
 
 def _score_blocks(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
@@ -264,15 +250,16 @@ def propose_pairs(state: AlignmentState,
     mapped = state.source.vectors[src_idx] @ state.transform.T
     nn_of_src = np.empty(len(src_idx), dtype=np.int64)
     # column argmax over the blocks: a later block takes a column only on a
-    # strictly larger score, so ties go to the lower row, as in one block
+    # strictly larger score, so ties go to the lower row, as in one block.
+    # Within a block it is the first row equal to the column max, which
+    # argmax(axis=0) finds only through a transposed copy of the block.
     nn_of_tgt = np.zeros(len(tgt_idx), dtype=np.int64)
     best = np.full(len(tgt_idx), -np.inf)
-    cols = np.arange(len(tgt_idx))
     for rows, scores in _score_blocks(mapped, state.target.vectors[tgt_idx],
                                       q):
         nn_of_src[rows] = scores.argmax(axis=1)
-        block_nn = scores.argmax(axis=0)
-        block_best = scores[block_nn, cols]
+        block_best = scores.max(axis=0)
+        block_nn = (scores == block_best).argmax(axis=0)
         wins = block_best > best
         best[wins] = block_best[wins]
         nn_of_tgt[wins] = rows.start + block_nn[wins]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -77,19 +78,32 @@ _TYPES = {f.name: type(f.default) for f in fields(OptimizerConfig)
           if not isinstance(f.default, bool)}
 
 
+# Bytes of a file checked as UTF-8 at a time.
+UTF8_PIECE = 1 << 16
+
+
 def open_text(path) -> io.TextIOWrapper:
     """The lines of UTF-8 file `path`, as `open(path, encoding="utf-8")`
     reads them, from one read of its bytes; a byte that is not UTF-8
-    raises a ValueError with the file and line.  Every input file is read
-    through here."""
+    raises a ValueError with the file and line.  The bytes are checked
+    in pieces, so no text copy of the whole file is made.  Every input
+    file is read through here."""
     with open(path, "rb") as fh:
         data = fh.read()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(data)
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: byte "
-                         f"{data[exc.start:exc.end]!r} is not UTF-8") from None
+        for start in range(0, len(data), UTF8_PIECE):
+            decoder.decode(view[start:start + UTF8_PIECE])
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        try:                         # the whole file, for the byte's line
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {lineno}: byte "
+                             f"{data[exc.start:exc.end]!r} is not UTF-8"
+                             ) from None
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 

@@ -202,8 +202,9 @@ class TestBlocks:
         np.testing.assert_array_equal(many.argmax(axis=0),
                                       one.argmax(axis=0))
 
-    @pytest.mark.parametrize("q", [csls(5), NeighborQuery(metric="l2")],
-                             ids=["csls5", "l2"])
+    @pytest.mark.parametrize("q", [csls(5), csls(10),
+                                   NeighborQuery(metric="l2")],
+                             ids=["csls5", "csls10", "l2"])
     def test_propose_pairs_match_one_block(self, monkeypatch, q):
         rng = np.random.default_rng(26)
         src, tgt = paired_spaces(rng)
@@ -216,12 +217,13 @@ class TestBlocks:
         assert propose_pairs(state, q) == one
         assert len(one) > 100
 
-    @pytest.mark.parametrize("block_cells", [6, 24])
+    @pytest.mark.parametrize("block_cells", [6, 24, 42])
     @pytest.mark.parametrize("q", [csls(2), NeighborQuery(metric="l2")],
                              ids=["csls2", "l2"])
     def test_column_tie_goes_to_lower_row(self, monkeypatch, block_cells, q):
-        """Source e6 duplicates e0 in a later block; the target e0's
-        nearest source is e0, as the dense column argmax picks it."""
+        """Source e6 duplicates e0, in a later block or, at 42 cells, in
+        the same one; the target e0's nearest source is e0, as the dense
+        column argmax picks it."""
         rng = np.random.default_rng(27)
         ent = rng.standard_normal((6, 4))
         state = AlignmentState(source=space_from(np.vstack([ent, ent[:1]])),
@@ -233,11 +235,12 @@ class TestBlocks:
         assert all(s != "e6" for s, _ in props)
 
     def test_proposal_memory_below_dense_matrix(self):
-        """Proposing on 3000 x 3000 holds fewer than three score blocks
-        at once, far below the 72 MB dense score matrix."""
+        """Proposing on 3000 x 3000 holds fewer than two score blocks at
+        once, far below the 72 MB dense score matrix: no block is copied
+        whole, as a column argmax or an axis-0 partition would copy it."""
         state = planted_state(np.random.default_rng(28), 3000)
         assert peak_bytes(propose_pairs, state, csls(10)) \
-            < 3 * alignment.BLOCK_CELLS * 8
+            < 2 * alignment.BLOCK_CELLS * 8
 
 
 class TestProposePairs:

@@ -4,11 +4,13 @@ makes a loader run long, and every loader names the file and line of a
 byte that is not UTF-8."""
 
 import json
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgalign import config
 from kgalign.alignment import (AlignmentSpace, AlignmentState,
                                load_seed_pairs, load_state, save_state)
 from kgalign.config import open_text, parse_config_file
@@ -190,17 +192,20 @@ NEWLINE_TEXTS = st.lists(st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=NEWLINE_TEXTS)
-def test_open_text_reads_as_open(tmp_path_factory, text):
+@given(text=NEWLINE_TEXTS, piece=st.integers(1, 7))
+def test_open_text_reads_as_open(tmp_path_factory, text, piece):
+    """Read through UTF-8 checks of 1 to 7 bytes, so multi-byte
+    characters straddle the pieces."""
     path = write(tmp_path_factory, text)
     with open(path, encoding="utf-8") as fh:
         lines = list(fh)
     with open(path, encoding="utf-8") as fh:
         whole = fh.read()
-    with open_text(path) as fh:
-        assert list(fh) == lines
-    with open_text(path) as fh:
-        assert fh.read() == whole
+    with patch.object(config, "UTF8_PIECE", piece):
+        with open_text(path) as fh:
+            assert list(fh) == lines
+        with open_text(path) as fh:
+            assert fh.read() == whole
 
 
 KG = from_string_triples([("a", "r", "b")], "xx")
@@ -212,8 +217,11 @@ LOADERS = (read_embeddings, load_seed_pairs, load_state, parse_config_file,
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.binary())
-def test_loaders_name_the_line_of_a_non_utf8_byte(tmp_path_factory, data):
+@given(data=st.binary(), piece=st.integers(1, 7))
+def test_loaders_name_the_line_of_a_non_utf8_byte(tmp_path_factory, data,
+                                                  piece):
+    """Also with UTF-8 checks of 1 to 7 bytes, so a truncated or invalid
+    sequence can straddle the pieces."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -224,7 +232,7 @@ def test_loaders_name_the_line_of_a_non_utf8_byte(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz_input.bin"
     path.write_bytes(data)
     for load in LOADERS:
-        with time_limit(10):
+        with time_limit(10), patch.object(config, "UTF8_PIECE", piece):
             try:
                 load(path)
             except ValueError as exc:
