@@ -6,14 +6,15 @@ Exit codes: 0 success, 1 input/configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import alignment, embedding, grounding, kg, pipeline, synth
-from .config import (CANDIDATE_MODES, METRICS, ConfigError, OptimizerConfig,
-                     PipelineConfig, load_optimizer_config)
+from .config import (ConfigError, OptimizerConfig, PipelineConfig,
+                     load_optimizer_config)
 from .embedding import TrainingDivergence
 
 
@@ -22,29 +23,9 @@ def cli():
     """Cross-lingual KG entity alignment via joint KG+text embeddings."""
 
 
-_SYNTH_DEFAULTS = synth.BenchmarkParams()
-
 # numpy seeds its generators with non-negative integers only
 _seed_option = click.option("--seed", default=0, show_default=True,
                             type=click.IntRange(min=0))
-
-# synth.BenchmarkParams fields in option order; the option of `n_walks` is
-# `--walks`, of `walk_length` `--walk-length`
-_SYNTH_FIELDS = ("n_entities", "n_triples", "n_relations", "edge_drop",
-                 "n_walks", "walk_length", "n_common_concepts",
-                 "signature_size", "concept_skew", "seed_lexicon_size")
-
-# flag of each pipeline.ABLATIONS entry that `run`, `train` and `align` can
-# switch on
-ABLATION_FLAGS = {
-    "no_self_learning": "--no-self-learning",
-    "no_gcn": "--no-gcn",
-    "no_text": "--no-text",
-    "no_kg": "--no-kg",
-    "with_seed_lexicon": "--seed-lexicon",
-}
-# `train` builds one embedding space: it takes the optimizer-only ablations
-_TRAIN_ABLATIONS = [n for n in ABLATION_FLAGS if not pipeline.ABLATIONS[n][0]]
 
 
 def _with_options(opts):
@@ -56,30 +37,28 @@ def _with_options(opts):
 
 
 def _with_ablation_flags(names):
-    return _with_options([click.option(ABLATION_FLAGS[n], n, is_flag=True)
-                          for n in names])
+    return _with_options([click.option(pipeline.ABLATIONS[n][0], n,
+                                       is_flag=True) for n in names])
 
 
-_SETTINGS = PipelineConfig()
-
-# option and type (None: that of the default) of each align and evaluate
-# setting of PipelineConfig; the option's parameter is named after its field
-_SETTING_OPTIONS = {
-    "metric": ("--metric", click.Choice(METRICS)),
-    "csls_k": ("--csls-k", None),
-    "stop_fraction": ("--stop-frac", None),
-    "max_iterations": ("--max-iterations", None),
-    "lexeme_top_f": ("--top-f", None),
-    "seed_fraction": ("--seed-frac", None),
-    "eval_p": ("--p", None),
-    "candidate_mode": ("--candidates", click.Choice(CANDIDATE_MODES)),
-}
+# the pipeline.ABLATIONS entries that `run` can switch on; `train` builds
+# one embedding space, so it takes those that only override the optimizer
+_RUN_ABLATIONS = [n for n, (flag, _, _) in pipeline.ABLATIONS.items() if flag]
+_TRAIN_ABLATIONS = [n for n in _RUN_ABLATIONS if not pipeline.ABLATIONS[n][1]]
 
 
-def _setting_options(*fields):
-    return [click.option(_SETTING_OPTIONS[f][0], f, type=_SETTING_OPTIONS[f][1],
-                         default=getattr(_SETTINGS, f), show_default=True)
-            for f in fields]
+def _setting_options(*names):
+    """The options of PipelineConfig fields `names`, as the fields declare
+    them; each option's parameter is named after its field."""
+    declared = {f.name: f for f in fields(PipelineConfig)}
+    opts = []
+    for name in names:
+        f = declared[name]
+        choices = f.metadata["choices"]
+        opts.append(click.option(
+            f.metadata["option"], name, default=f.default, show_default=True,
+            type=click.Choice(choices) if choices else None))
+    return opts
 
 
 def _pipeline_config(config_path=None, **options) -> PipelineConfig:
@@ -99,9 +78,9 @@ def _pipeline_config(config_path=None, **options) -> PipelineConfig:
 @cli.command("synth")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @_with_options([click.option(
-    "--" + name.removeprefix("n_").replace("_", "-"), name,
-    default=getattr(_SYNTH_DEFAULTS, name), show_default=True)
-    for name in _SYNTH_FIELDS])
+    "--" + f.name.removeprefix("n_").replace("_", "-"), f.name,
+    default=f.default, show_default=True)
+    for f in fields(synth.BenchmarkParams)])
 @_seed_option
 def synth_cmd(out_dir, seed, **params):
     """Generate a synthetic two-language benchmark."""
@@ -201,7 +180,7 @@ _run_options = [
 
 @cli.command("run")
 @_with_options(_run_options)
-@_with_ablation_flags(ABLATION_FLAGS)
+@_with_ablation_flags(_RUN_ABLATIONS)
 def run_cmd(bench, out_dir, config_path, seed, **options):
     """Run the full pipeline on a benchmark directory."""
     cfg = _pipeline_config(config_path, **options)

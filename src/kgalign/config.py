@@ -125,7 +125,7 @@ def read_fields(path, expected: str):
 
 
 def parse_config_file(path) -> dict:
-    """Parse `key = value` lines; unknown keys are rejected."""
+    """Parse `key = value` lines; unknown and repeated keys are rejected."""
     values: dict = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -138,6 +138,8 @@ def parse_config_file(path) -> dict:
             key, value = key.strip(), value.strip()
             if key not in _TYPES:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}: line {lineno}: key {key!r} given twice")
             try:
                 values[key] = _TYPES[key](value)
             except ValueError as exc:
@@ -169,23 +171,31 @@ class NeighborQuery:
             raise ConfigError("csls_k must be >= 1")
 
 
+def _option(default, option: str, choices=None):
+    """A PipelineConfig field that CLI `option` sets, to one of `choices`
+    if given."""
+    return field(default=default,
+                 metadata={"option": option, "choices": choices})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Full-pipeline settings: the training config plus the align and
     evaluate settings and ablation switches.  Every subcommand validates
-    its settings here, and the CLI takes its defaults from here."""
+    its settings here, and the CLI builds the option of each setting
+    declared with `_option` from its field."""
 
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig.desk_scale)
-    metric: str = "csls"
-    csls_k: int = 10
-    stop_fraction: float = 0.01
-    max_iterations: int = 50
-    lexeme_top_f: int = 10000
-    seed_fraction: float = 0.3
+    metric: str = _option("csls", "--metric", METRICS)
+    csls_k: int = _option(10, "--csls-k")
+    stop_fraction: float = _option(0.01, "--stop-frac")
+    max_iterations: int = _option(50, "--max-iterations")
+    lexeme_top_f: int = _option(10000, "--top-f")
+    seed_fraction: float = _option(0.3, "--seed-frac")
     no_self_learning: bool = False
     use_seed_lexicon: bool = False
-    eval_p: int = 10
-    candidate_mode: str = "test"
+    eval_p: int = _option(10, "--p")
+    candidate_mode: str = _option("test", "--candidates", CANDIDATE_MODES)
 
     def __post_init__(self):
         if not (0 < self.stop_fraction <= 1):

@@ -246,15 +246,16 @@ def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
                                Path(out_dir), seed, log)
 
 
-# name -> (PipelineConfig overrides, OptimizerConfig overrides)
-ABLATIONS: dict[str, tuple[dict, dict]] = {
-    "full": ({}, {}),
-    "no_self_learning": ({"no_self_learning": True}, {}),
-    "no_gcn": ({}, {"gcn_layers": 0}),
-    "no_text": ({}, {"use_text_loss": False}),
-    "no_kg": ({}, {"use_kg_loss": False}),
-    "l2_metric": ({"metric": "l2"}, {}),
-    "with_seed_lexicon": ({"use_seed_lexicon": True}, {}),
+# name -> (flag that switches it on in `kgalign run`, or None,
+#          PipelineConfig overrides, OptimizerConfig overrides)
+ABLATIONS: dict[str, tuple[str | None, dict, dict]] = {
+    "full": (None, {}, {}),
+    "no_self_learning": ("--no-self-learning", {"no_self_learning": True}, {}),
+    "no_gcn": ("--no-gcn", {}, {"gcn_layers": 0}),
+    "no_text": ("--no-text", {}, {"use_text_loss": False}),
+    "no_kg": ("--no-kg", {}, {"use_kg_loss": False}),
+    "l2_metric": (None, {"metric": "l2"}, {}),
+    "with_seed_lexicon": ("--seed-lexicon", {"use_seed_lexicon": True}, {}),
 }
 
 
@@ -262,7 +263,7 @@ def ablation_config(base: PipelineConfig, name: str) -> PipelineConfig:
     """`base` with the overrides of ablation `name` applied."""
     if name not in ABLATIONS:
         raise ConfigError(f"unknown ablation {name!r}")
-    pipeline_overrides, optimizer_overrides = ABLATIONS[name]
+    _, pipeline_overrides, optimizer_overrides = ABLATIONS[name]
     return replace(base, **pipeline_overrides,
                    optimizer=replace(base.optimizer, **optimizer_overrides))
 

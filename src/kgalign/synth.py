@@ -10,6 +10,7 @@ way comparable corpora do for real language pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -24,16 +25,18 @@ DRAWS_PER_TRIPLE = 100
 
 @dataclass(frozen=True)
 class BenchmarkParams:
+    """`kgalign synth` has an option for each field, in field order."""
+
     n_entities: int = 500
     n_triples: int = 2000
     n_relations: int = 8
     edge_drop: float = 0.05
     n_walks: int = 2500
     walk_length: int = 8
-    signature_size: int = 3
     n_common_concepts: int = 200
-    seed_lexicon_size: int = 35
+    signature_size: int = 3
     concept_skew: float = 0.5
+    seed_lexicon_size: int = 35
 
     def __post_init__(self):
         if self.n_entities < 20:
@@ -46,8 +49,8 @@ class BenchmarkParams:
                 raise ConfigError(f"{name} must be >= 1")
         if not (0 <= self.edge_drop <= 1):
             raise ConfigError("edge_drop must lie in [0, 1]")
-        if self.concept_skew < 0:
-            raise ConfigError("concept_skew must be >= 0")
+        if not 0 <= self.concept_skew < math.inf:
+            raise ConfigError("concept_skew must be finite and >= 0")
         # the target side draws a fresh triple for each dropped one
         needed = self.n_triples + round(self.edge_drop * self.n_triples)
         possible = self.n_entities * (self.n_entities - 1) * self.n_relations

@@ -369,6 +369,10 @@ CASES = {
     "run-config-gcn-layers-negative": config_case("gcn_layers = -1", ">= 0"),
     "run-config-lr-nan": config_case("lr = nan", "finite and > 0"),
     "run-config-bias-inf": config_case("bias_b = inf", "finite and > 0"),
+    # a second value of a key does not silently replace the first
+    "run-config-key-twice": (
+        lambda p, mp: run_inputs(p, "dim = 8\nepochs = 1\ndim = 16\n"), 1,
+        "cfg: line 3: key 'dim' given twice"),
     # a byte that is not UTF-8 names the file and line
     "align-vec-not-utf8": (
         lambda p, mp: with_bad_byte(align_inputs(p), p / "src.vec", 3), 1,
@@ -389,6 +393,13 @@ CASES = {
     "synth-relations-0": (
         lambda p, mp: ["synth", "--out", p / "bench", "--relations", 0], 1,
         "error: n_relations must be >= 1"),
+    # nan compares false with every bound, and would be read as skew 0
+    "synth-concept-skew-nan": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--concept-skew", "nan"],
+        1, "error: concept_skew must be finite and >= 0"),
+    "synth-concept-skew-inf": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--concept-skew", "inf"],
+        1, "error: concept_skew must be finite and >= 0"),
     "run-stop-frac-above-1": (
         lambda p, mp: run_inputs(p, ONE_EPOCH) + ["--stop-frac", 5], 1,
         "stop_fraction"),

@@ -1,15 +1,17 @@
+import hashlib
 import json
 import multiprocessing
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from kgalign import alignment, embedding, pipeline
-from kgalign.cli import ABLATION_FLAGS, cli
+from kgalign.cli import cli
 from kgalign.config import ConfigError, OptimizerConfig, PipelineConfig
 from kgalign.embedding import TrainingDivergence
 from kgalign.pipeline import (ABLATIONS, ablation_config,
@@ -31,7 +33,50 @@ def bench(tmp_path_factory):
 
 # `kgalign run` arguments that select each ablation
 RUN_ARGS = {"full": [], "l2_metric": ["--metric", "l2"],
-            **{name: [flag] for name, flag in ABLATION_FLAGS.items()}}
+            **{name: [flag] for name, (flag, _, _) in ABLATIONS.items()
+               if flag}}
+
+# a valid value other than the default of each PipelineConfig field that
+# declares a CLI option
+SETTING_VALUES = {"metric": "l2", "csls_k": 3, "stop_fraction": 0.5,
+                  "max_iterations": 7, "lexeme_top_f": 5,
+                  "seed_fraction": 0.4, "eval_p": 3, "candidate_mode": "all"}
+
+# (command, field, option) of each setting option of the staged commands
+SETTING_OPTIONS = [
+    (command, f.name, f.metadata["option"])
+    for f in fields(PipelineConfig) if f.metadata
+    for command in ("run", "align", "eval")
+    if any(f.metadata["option"] in p.opts
+           for p in cli.commands[command].params)]
+
+
+def built_config(command, tmp_path, monkeypatch, *options):
+    """The PipelineConfig that `kgalign <command>`, one of `run`, `align`
+    and `eval`, builds with `options` and passes to its stage function,
+    which is replaced and does not run."""
+    built = []
+
+    def stage(cfg, *args, **kwargs):
+        built.append(cfg)
+        return SimpleNamespace(iteration=0, ent_pairs=[], lex_pairs=[],
+                               lines=list)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", stage)
+    monkeypatch.setattr(pipeline, "align_stage", stage)
+    monkeypatch.setattr(pipeline, "evaluate_stage", stage)
+    monkeypatch.setattr(alignment.AlignmentSpace, "from_file", lambda p: None)
+    monkeypatch.setattr(alignment, "load_state", lambda p: None)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\n", encoding="utf-8")
+    args = {"run": ["--bench", tmp_path, "--out", tmp_path / "out"],
+            "align": ["--src-emb", tmp_path / "src", "--tgt-emb",
+                      tmp_path / "tgt", "--seed-entities", pairs,
+                      "--out", tmp_path / "state.json"],
+            "eval": ["--state", pairs, "--test", pairs]}[command]
+    res = CliRunner().invoke(cli, [command, *map(str, args + list(options))])
+    assert res.exit_code == 0, res.output
+    return built.pop()
 
 
 # the files of one run directory
@@ -126,20 +171,25 @@ class TestAblations:
 
     @pytest.mark.parametrize("name", list(ABLATIONS))
     def test_run_flag_matches_table(self, name, tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(pipeline, "run_pipeline",
-                            lambda cfg, *args, **kwargs: built.append(cfg))
-
-        def run(*flags):
-            res = CliRunner().invoke(cli, [
-                "run", "--bench", str(tmp_path), "--out",
-                str(tmp_path / "out"), *flags])
-            assert res.exit_code == 0, res.output
-            return built.pop()
-
-        base = run()
+        base = built_config("run", tmp_path, monkeypatch)
         assert ablation_config(base, "full") == base
-        assert run(*RUN_ARGS[name]) == ablation_config(base, name)
+        assert (built_config("run", tmp_path, monkeypatch, *RUN_ARGS[name])
+                == ablation_config(base, name))
+
+    def test_every_setting_option_is_tested(self):
+        declared = {f.name for f in fields(PipelineConfig) if f.metadata}
+        assert set(SETTING_VALUES) == declared
+        assert {name for _, name, _ in SETTING_OPTIONS} == declared
+
+    @pytest.mark.parametrize("command, name, option", SETTING_OPTIONS,
+                             ids=[f"{c}{o}" for c, _, o in SETTING_OPTIONS])
+    def test_setting_option_sets_its_field(self, command, name, option,
+                                           tmp_path, monkeypatch):
+        base = built_config(command, tmp_path, monkeypatch)
+        value = SETTING_VALUES[name]
+        assert getattr(base, name) != value
+        assert (built_config(command, tmp_path, monkeypatch, option, value)
+                == replace(base, **{name: value}))
 
     def test_disabling_both_losses_rejected(self):
         with pytest.raises(ConfigError, match="both"):
@@ -259,7 +309,30 @@ class TestTrainingPool:
         assert pipeline._grounded is None
 
 
+# sha256 of the `--help` text of the group and of each command, 80 columns
+HELP_SHA256 = {
+    "kgalign": "058d6d9290114be5a0985307630c7ab734c050ebdbe95265808913e71edaf41d",
+    "synth": "e1ead9f3dcfbb7b5fba3bee654919f86f13d256437b71b43b7fee28e3548c97f",
+    "ground": "07f2cb6a79e16afb5d2fd56aa446a5f8be3068ecef21d93787765f234a8a83a1",
+    "train": "c9597ad118d0219627ed6f44ce548b85b66a760657f25f3fd334bfd5965ab97c",
+    "align": "1ee6ee9a39ee7fd5223e0e8544b9ff87cafaeb1fcc8e611be00e25d950687eeb",
+    "eval": "3a9a3711bac6582cdf07b68b5b877e526d0258de3229cb8c6811524d55092e84",
+    "run": "15ba22750981cf8489c6d09fba0356746682a10d466a949d71f94d0f95bd9afa",
+    "ablate": "fe9ff190f0b3b17b031555146759bb630790a81343b41c771fde0fdd2d5ab5b1",
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("command", HELP_SHA256)
+    def test_help_text_is_pinned(self, command):
+        assert set(HELP_SHA256) == {"kgalign", *cli.commands}
+        args = [] if command == "kgalign" else [command]
+        res = CliRunner(env={"COLUMNS": "80"}).invoke(
+            cli, [*args, "--help"], prog_name="kgalign")
+        assert res.exit_code == 0, res.output
+        digest = hashlib.sha256(res.output.encode()).hexdigest()
+        assert digest == HELP_SHA256[command], res.output
+
     def test_synth_ground_run_round_trip(self, tmp_path):
         runner = CliRunner()
         bench_dir = tmp_path / "bench"
