@@ -41,7 +41,8 @@ class OptimizerConfig:
     use_text_loss: bool = True
 
     def __post_init__(self):
-        for name in ("dim", "neg_samples", "context_radius", "batch_size"):
+        for name in ("dim", "neg_samples", "context_radius", "batch_size",
+                     "min_freq"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("gcn_layers", "epochs"):

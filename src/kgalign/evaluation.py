@@ -13,12 +13,26 @@ from .grounding import ENTITY_PREFIX
 
 @dataclass(frozen=True)
 class EvalReport:
-    h_at_1: float
-    h_at_p: float
-    p: int
-    mrr: float
-    n_test: int
+    """The rank of each test query's gold target; metrics derive from it."""
+
     ranks: tuple[int, ...]
+    p: int
+
+    @property
+    def h_at_1(self) -> float:
+        return float(np.mean(np.asarray(self.ranks) == 1))
+
+    @property
+    def h_at_p(self) -> float:
+        return float(np.mean(np.asarray(self.ranks) <= self.p))
+
+    @property
+    def mrr(self) -> float:
+        return float(np.mean(1.0 / np.asarray(self.ranks)))
+
+    @property
+    def n_test(self) -> int:
+        return len(self.ranks)
 
     def lines(self) -> list[str]:
         return [
@@ -73,11 +87,4 @@ def evaluate(test_pairs: list[tuple[str, str]], state: AlignmentState,
         tied_before = np.count_nonzero(
             (scores == gold) & (cols < gi[:, None]), axis=1)
         ranks_arr[rows] = 1 + better + tied_before
-    return EvalReport(
-        h_at_1=float(np.mean(ranks_arr == 1)),
-        h_at_p=float(np.mean(ranks_arr <= p)),
-        p=p,
-        mrr=float(np.mean(1.0 / ranks_arr)),
-        n_test=len(test_pairs),
-        ranks=tuple(int(r) for r in ranks_arr),
-    )
+    return EvalReport(ranks=tuple(int(r) for r in ranks_arr), p=p)

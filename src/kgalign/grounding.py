@@ -142,11 +142,9 @@ def build_index(forms_path, kg: KnowledgeGraph,
 
 
 def ground_tokens(tokens: list[str], index: SurfaceFormIndex,
-                  table: TokenTable | None = None) -> list[Token]:
+                  table: TokenTable) -> list[Token]:
     """Greedy left-to-right longest-match grounding of one document; its
-    tokens come from `table`, a new one if none is given."""
-    if table is None:
-        table = TokenTable()
+    tokens come from `table`."""
     out: list[Token] = []
     i = 0
     n = len(tokens)

@@ -27,10 +27,6 @@ TRAIN_MESSAGE = "stage train: joint KG+text embedding learning"
 @dataclass
 class PipelineResult:
     report: EvalReport
-    state_path: Path
-    report_path: Path
-    src_emb_prefix: Path
-    tgt_emb_prefix: Path
 
 
 def _quiet(_msg: str) -> None:
@@ -213,7 +209,7 @@ def read_gold(paths: BenchmarkPaths, configs, graphs,
 
 
 def _align_and_evaluate(cfg, paths, gold, grounded, spaces, out: Path,
-                        seed: int, log) -> PipelineResult:
+                        seed: int, log) -> EvalReport:
     """Write the grounded corpora and the spaces to `out`, then align the
     `.vec` files written, as `kgalign align` does, on the seed split of
     the `read_gold` entity pairs, and evaluate on the rest."""
@@ -227,13 +223,8 @@ def _align_and_evaluate(cfg, paths, gold, grounded, spaces, out: Path,
                         AlignmentSpace.from_file(out / "tgt_emb.vec"),
                         seed_pairs, paths.gold_entities, gold_lexemes,
                         out / "alignment_state.json", log)
-    report = evaluate_stage(cfg, test_pairs, paths.gold_entities, state,
-                            out / "report.tsv", log)
-    return PipelineResult(report=report,
-                          state_path=out / "alignment_state.json",
-                          report_path=out / "report.tsv",
-                          src_emb_prefix=out / "src_emb",
-                          tgt_emb_prefix=out / "tgt_emb")
+    return evaluate_stage(cfg, test_pairs, paths.gold_entities, state,
+                          out / "report.tsv", log)
 
 
 def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
@@ -242,8 +233,8 @@ def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
     gold = read_gold(paths, [cfg], graphs, seed)
     grounded = ground_stage(paths, graphs, log)
     spaces = train_stage(cfg, grounded, seed, log)
-    return _align_and_evaluate(cfg, paths, gold, grounded, spaces,
-                               Path(out_dir), seed, log)
+    return PipelineResult(_align_and_evaluate(
+        cfg, paths, gold, grounded, spaces, Path(out_dir), seed, log))
 
 
 # name -> (flag that switches it on in `kgalign run`, or None,
@@ -293,7 +284,7 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
             log(TRAIN_MESSAGE)
         reports[name] = _align_and_evaluate(
             cfg, paths, gold, grounded, spaces[cfg.optimizer],
-            Path(out_dir) / name, seed, log).report
+            Path(out_dir) / name, seed, log)
     return reports
 
 

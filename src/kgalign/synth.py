@@ -43,7 +43,8 @@ class BenchmarkParams:
             raise ConfigError("n_entities must be >= 20")
         if self.n_triples < self.n_entities:
             raise ConfigError("n_triples must be >= n_entities")
-        for name in ("n_relations", "n_common_concepts", "signature_size",
+        for name in ("n_relations", "n_walks", "walk_length",
+                     "n_common_concepts", "signature_size",
                      "seed_lexicon_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -65,6 +66,26 @@ class BenchmarkParams:
                 f"signature_size {self.signature_size} takes "
                 f"{self.signature_size - 1} distinct common concepts, more "
                 f"than n_common_concepts {self.n_common_concepts}")
+        # a weight that underflows to 0 never draws its concept
+        probs = self.common_concept_probs()
+        drawable = (self.n_common_concepts if probs is None
+                    else int(np.count_nonzero(probs)))
+        if drawable < self.signature_size - 1:
+            raise ConfigError(
+                f"concept_skew {self.concept_skew} gives {drawable} common "
+                f"concepts a non-zero float64 weight, but signature_size "
+                f"{self.signature_size} draws {self.signature_size - 1} "
+                f"distinct ones")
+
+    def common_concept_probs(self) -> np.ndarray | None:
+        """Zipf-like weights of the common concepts, so that the
+        vocabulary has a well-trained frequent head and a sparse tail;
+        None, for uniform draws, at concept_skew 0."""
+        if self.concept_skew == 0:
+            return None
+        ranks = np.arange(1, self.n_common_concepts + 1, dtype=float)
+        probs = ranks ** -self.concept_skew
+        return probs / probs.sum()
 
 
 @dataclass(frozen=True)
@@ -203,16 +224,8 @@ def generate_benchmark(params: BenchmarkParams, seed: int,
     perm = rng.permutation(params.n_entities)
     tgt_triples = _corrupt_triples(src_triples, params, perm, rng)
 
-    # per-entity concept signatures, shared across the language pair;
-    # concept_skew > 0 draws common concepts Zipf-like so the vocabulary
-    # has a well-trained frequent head and a sparse tail
-    n_concepts = params.n_entities + params.n_common_concepts
-    if params.concept_skew > 0:
-        ranks = np.arange(1, params.n_common_concepts + 1, dtype=float)
-        common_probs = ranks ** -params.concept_skew
-        common_probs /= common_probs.sum()
-    else:
-        common_probs = None
+    # per-entity concept signatures, shared across the language pair
+    common_probs = params.common_concept_probs()
     signatures = []
     for i in range(params.n_entities):
         common = rng.choice(params.n_common_concepts,

@@ -18,7 +18,8 @@ from kgalign.alignment import (AlignmentState, infer_batch, procrustes_solve,
 from kgalign.cli import cli
 from kgalign.config import NeighborQuery, OptimizerConfig, PipelineConfig
 from kgalign.evaluation import evaluate
-from kgalign.grounding import build_index, ground_corpus, ground_tokens
+from kgalign.grounding import (TokenTable, build_index, ground_corpus,
+                               ground_tokens)
 from kgalign.kg import build_graph_structure, load_kg, relation_stats
 from kgalign.pipeline import run_ablation_grid
 from kgalign.synth import BenchmarkParams, generate_benchmark
@@ -397,7 +398,7 @@ def test_criterion_7_grounding_properties(tmp_path):
 
     # dominance: nested forms always resolve to the longest match
     adv = "new york city new york new gap york".split()
-    adv_entities = [t.entity for t in ground_tokens(adv, index)
+    adv_entities = [t.entity for t in ground_tokens(adv, index, TokenTable())
                     if t.is_entity]
     dominance = adv_entities == ["e2", "e1", "e0", "e3"]
     # the 10k corpus agrees with the naive longest-match rescan everywhere

@@ -369,6 +369,10 @@ CASES = {
     "run-config-gcn-layers-negative": config_case("gcn_layers = -1", ">= 0"),
     "run-config-lr-nan": config_case("lr = nan", "finite and > 0"),
     "run-config-bias-inf": config_case("bias_b = inf", "finite and > 0"),
+    # below 1, min_freq would keep every token, as 1 does
+    "run-config-min-freq-negative": (
+        lambda p, mp: run_inputs(p, "dim = 8\nepochs = 1\nmin_freq = -4\n"),
+        1, "cfg: min_freq must be >= 1"),
     # a second value of a key does not silently replace the first
     "run-config-key-twice": (
         lambda p, mp: run_inputs(p, "dim = 8\nepochs = 1\ndim = 16\n"), 1,
@@ -400,6 +404,25 @@ CASES = {
     "synth-concept-skew-inf": (
         lambda p, mp: ["synth", "--out", p / "bench", "--concept-skew", "inf"],
         1, "error: concept_skew must be finite and >= 0"),
+    # at skew 2000 the weight of every common concept but the first
+    # underflows to 0, and a signature draws 2 distinct ones
+    "synth-concept-skew-underflow": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--concept-skew",
+                       2000], 1,
+        "error: concept_skew 2000.0 gives 1 common concepts a non-zero "
+        "float64 weight, but signature_size 3 draws 2 distinct ones"),
+    # skew 1000 leaves 2 concepts a non-zero weight, enough for 2 draws
+    "synth-concept-skew-1000": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--entities", 20,
+                       "--triples", 40, "--walks", 10, "--concept-skew",
+                       1000], 0, ""),
+    # a walk count or length below 1 would write blank documents
+    "synth-walks-negative": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--walks", -5], 1,
+        "error: n_walks must be >= 1"),
+    "synth-walk-length-negative": (
+        lambda p, mp: ["synth", "--out", p / "bench", "--walk-length", -3],
+        1, "error: walk_length must be >= 1"),
     "run-stop-frac-above-1": (
         lambda p, mp: run_inputs(p, ONE_EPOCH) + ["--stop-frac", 5], 1,
         "stop_fraction"),
@@ -506,3 +529,6 @@ def test_exit_code(tmp_path, monkeypatch, capsys, build, code, message):
         assert (tmp_path / "out.grounded").exists() == (code == 0)
     if args[0] == "synth":
         assert (tmp_path / "bench").exists() == (code == 0)
+        if message.startswith("error:"):
+            # a rejected setting is one line
+            assert err.count("\n") == 1

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from kgalign.embedding import RARE_TOKEN, encode_corpus, init_space, vocabulary
 from kgalign.grounding import (ENTITY_PREFIX, GroundedCorpus, SurfaceFormIndex,
-                               build_index, entity_token, ground_corpus,
-                               ground_tokens, grounding_stats, lexeme,
-                               load_pregrounded, write_grounded)
+                               TokenTable, build_index, entity_token,
+                               ground_corpus, ground_tokens, grounding_stats,
+                               lexeme, load_pregrounded, write_grounded)
 from kgalign.kg import from_string_triples
 
 from conftest import make_corpus, small_config
@@ -56,29 +56,30 @@ class TestIndex:
 class TestGroundTokens:
     def test_longest_match_wins(self):
         index = make_index([("e1", "new york"), ("e2", "new york city")])
-        doc = ground_tokens(["new", "york", "city", "is", "big"], index)
+        doc = ground_tokens(["new", "york", "city", "is", "big"], index,
+                            TokenTable())
         assert [t.text for t in doc] == ["@ent:e2", "is", "big"]
 
     def test_greedy_scan_resumes_after_match(self):
         index = make_index([("e1", "a b"), ("e2", "a")])
-        doc = ground_tokens(["a", "b", "a"], index)
+        doc = ground_tokens(["a", "b", "a"], index, TokenTable())
         assert [t.text for t in doc] == ["@ent:e1", "@ent:e2"]
 
     def test_no_match_all_lexemes(self):
         index = make_index([("e1", "x")])
-        doc = ground_tokens(["y", "z"], index)
+        doc = ground_tokens(["y", "z"], index, TokenTable())
         assert all(not t.is_entity for t in doc)
 
     def test_prefix_without_terminal_not_matched(self):
         index = make_index([("e1", "a b c")])
-        doc = ground_tokens(["a", "b", "x"], index)
+        doc = ground_tokens(["a", "b", "x"], index, TokenTable())
         assert all(not t.is_entity for t in doc)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from("abcd"), max_size=30))
     def test_round_trip_reconstruction(self, tokens):
         index = make_index([("e1", "a b"), ("e2", "c"), ("e3", "b c d")])
-        doc = ground_tokens(list(tokens), index)
+        doc = ground_tokens(list(tokens), index, TokenTable())
         rebuilt = []
         for tok in doc:
             rebuilt.extend(tok.surface if tok.is_entity else [tok.text])
@@ -215,7 +216,8 @@ class TestSharedTokens:
         finally:
             os.remove(path)
         # Token equality compares entity, text and surface
-        assert corpus.documents == [ground_tokens(line, index)
+        table = TokenTable()
+        assert corpus.documents == [ground_tokens(line, index, table)
                                     for line in lines]
         assert_shared(corpus)
 

@@ -41,7 +41,8 @@ def test_tracer_counts_grounded_tokens(tmp_path):
         grounding.ground_corpus(paths.src_corpus, index, graph)
     finally:
         tracer.close()
-    n_tokens = sum(len(grounding.ground_tokens(line.split(), index))
+    table = grounding.TokenTable()
+    n_tokens = sum(len(grounding.ground_tokens(line.split(), index, table))
                    for line in paths.src_corpus.read_text(
                        encoding="utf-8").splitlines())
     assert n_tokens > 0
