@@ -329,19 +329,19 @@ def solve_once(state: AlignmentState) -> AlignmentState:
 
 
 def infer_batch(query_ids: list[str], state: AlignmentState,
-                q: NeighborQuery, candidate_ids: list[str]):
-    """The scores of the queries against the candidates, higher is better,
-    as `_score_blocks` yields them: (query rows, block) in query order,
-    each block valid only until the next is yielded.
+                q: NeighborQuery, candidate_rows: np.ndarray):
+    """The scores of the queries against the candidate target rows, higher
+    is better, as `_score_blocks` yields them: (query rows, block) in
+    query order, each block valid only until the next is yielded.
 
     For CSLS, the query-side penalty is taken over the candidate set and
-    the candidate-side penalty over all mapped source entities.  The ids
-    are looked up at the call, the penalties taken at the first block.
+    the candidate-side penalty over all mapped source entities.  The query
+    ids are looked up at the call, the penalties taken at the first block.
     """
     src, tgt = state.source, state.target
     return _score_blocks(
         src.vectors[src.entity_rows(query_ids)] @ state.transform.T,
-        tgt.vectors[tgt.entity_rows(candidate_ids)], q,
+        tgt.vectors[candidate_rows], q,
         cand_ref=src.vectors[src.entity_mask] @ state.transform.T)
 
 
@@ -439,10 +439,13 @@ def load_state(path) -> AlignmentState:
         raise ValueError(f"{path}: malformed state file: {exc!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: malformed state file: {exc}") from None
-    shape = (state.target.vectors.shape[-1], state.source.vectors.shape[-1])
-    if state.transform.shape != shape:
-        raise ValueError(f"{path}: transform must be a {shape[0]}x{shape[1]} "
-                         f"matrix, not {json.dumps(data.get('transform')):.40}")
+    dim, tgt_dim = state.source.vectors.shape[1], state.target.vectors.shape[1]
+    if dim != tgt_dim:
+        raise ValueError(f"{path}: malformed state file: source vectors have "
+                         f"{dim} values, target vectors {tgt_dim}")
+    if state.transform.shape != (dim, dim):
+        raise ValueError(f"{path}: transform must be a {dim}x{dim} matrix, "
+                         f"not {json.dumps(data.get('transform')):.40}")
     if not np.isfinite(state.transform).all():
         raise ValueError(f"{path}: malformed state file: transform has a "
                          "non-finite value")
@@ -451,3 +454,17 @@ def load_state(path) -> AlignmentState:
 
 def load_seed_pairs(path) -> list[tuple[str, str]]:
     return [(s, t) for _, (s, t) in read_fields(path, "source<TAB>target")]
+
+
+def load_lexicon(path) -> list[tuple[str, str]]:
+    """The word pairs of a seed lexicon.  A raw corpus holds no entity
+    marker, so an item that is one is never a word: it raises a
+    ValueError with the file and line."""
+    pairs = []
+    for lineno, pair in read_fields(path, "source<TAB>target"):
+        for item in pair:
+            if item.startswith(ENTITY_PREFIX):
+                raise ValueError(f"{path}: line {lineno}: lexicon item "
+                                 f"{item!r} is an entity marker, not a word")
+        pairs.append((pair[0], pair[1]))
+    return pairs

@@ -138,12 +138,18 @@ def align_cmd(src_emb, tgt_emb, seed_entities, seed_lexicon, out_path,
     """Induce the cross-space transform by self-learning."""
     cfg = _pipeline_config(use_seed_lexicon=seed_lexicon is not None,
                            **options)
-    state = pipeline.align_stage(
-        cfg, alignment.AlignmentSpace.from_file(f"{src_emb}.vec"),
-        alignment.AlignmentSpace.from_file(f"{tgt_emb}.vec"),
-        alignment.load_seed_pairs(seed_entities), seed_entities,
-        alignment.load_seed_pairs(seed_lexicon) if seed_lexicon else [],
-        out_path)
+    source = alignment.AlignmentSpace.from_file(f"{src_emb}.vec")
+    target = alignment.AlignmentSpace.from_file(f"{tgt_emb}.vec")
+    seed_pairs = alignment.load_seed_pairs(seed_entities)
+    lexicon = alignment.load_lexicon(seed_lexicon) if seed_lexicon else []
+    widths = source.vectors.shape[1], target.vectors.shape[1]
+    if widths[0] != widths[1]:
+        raise ValueError(f"{src_emb}.vec and {tgt_emb}.vec differ in width: "
+                         f"{widths[0]} and {widths[1]} values a row")
+    pipeline.check_pairs("seed", seed_pairs, (source.index, target.index),
+                         seed_entities)
+    state = pipeline.align_stage(cfg, source, target, seed_pairs, lexicon,
+                                 out_path)
     click.echo(f"iterations\t{state.iteration}")
     click.echo(f"entity_pairs\t{len(state.ent_pairs)}")
     click.echo(f"lexeme_pairs\t{len(state.lex_pairs)}")
@@ -161,8 +167,10 @@ def eval_cmd(state_path, test_path, out_path, **options):
     """Evaluate alignment predictions against gold pairs."""
     cfg = _pipeline_config(**options)
     state = alignment.load_state(state_path)
-    report = pipeline.evaluate_stage(
-        cfg, alignment.load_seed_pairs(test_path), test_path, state, out_path)
+    test_pairs = alignment.load_seed_pairs(test_path)
+    pipeline.check_pairs("test", test_pairs,
+                         (state.source.index, state.target.index), test_path)
+    report = pipeline.evaluate_stage(cfg, test_pairs, state, out_path)
     for line in report.lines():
         click.echo(line)
 

@@ -8,7 +8,6 @@ import numpy as np
 
 from .alignment import AlignmentState, infer_batch
 from .config import NeighborQuery
-from .grounding import ENTITY_PREFIX
 
 
 @dataclass(frozen=True)
@@ -54,27 +53,21 @@ def evaluate(test_pairs: list[tuple[str, str]], state: AlignmentState,
     """Rank the gold target of each test query among the candidate set.
 
     candidate_mode "test" ranks against the test pairs' gold targets only;
-    "all" ranks against every target entity.  Ties break by target
-    vocabulary index, matching inference.
+    "all" ranks against every target entity.  Candidates are ascending
+    target rows, so ties break by target vocabulary index, matching
+    inference.  A gold id the target lacks raises `KeyError`.
     """
     if not test_pairs:
         raise ValueError("empty test set")
+    gold_rows = state.target.entity_rows([gold for _, gold in test_pairs])
     if candidate_mode == "all":
-        candidates = [it[len(ENTITY_PREFIX):] for it, m in zip(
-            state.target.items, state.target.entity_mask) if m]
+        candidates = np.flatnonzero(state.target.entity_mask)
     elif candidate_mode == "test":
-        # in target vocabulary order, for deterministic tie-breaking
-        candidates = sorted({gold for _, gold in test_pairs},
-                            key=lambda e: state.target.index[ENTITY_PREFIX + e])
+        candidates = np.unique(gold_rows)
     else:
         raise ValueError(f"unknown candidate mode {candidate_mode!r}")
 
-    cand_pos = {c: i for i, c in enumerate(candidates)}
-    missing = [g for _, g in test_pairs if g not in cand_pos]
-    if missing:
-        raise ValueError(f"gold targets missing from candidates: {missing[:5]}")
-
-    gold_cols = np.array([cand_pos[g] for _, g in test_pairs])
+    gold_cols = np.searchsorted(candidates, gold_rows)
     cols = np.arange(len(candidates))
     ranks_arr = np.empty(len(test_pairs), dtype=np.int64)
     # rank = 1 + candidates scored strictly higher + ties before the gold

@@ -117,13 +117,7 @@ def train_spaces(optimizers, grounded, seed: int):
     return dict(zip(optimizers, zip(spaces[0::2], spaces[1::2])))
 
 
-def train_stage(cfg: PipelineConfig, grounded, seed: int, log=_quiet):
-    """The trained source and target embedding spaces."""
-    log(TRAIN_MESSAGE)
-    return train_spaces([cfg.optimizer], grounded, seed)[cfg.optimizer]
-
-
-def _check_pairs(kind: str, pairs, known, path) -> None:
+def check_pairs(kind: str, pairs, known, path) -> None:
     """Seed or test entity pairs, at least one, name entities of `known`,
     the (source, target) collections of entity items (`@ent:<id>`), each
     at most once a side."""
@@ -145,13 +139,12 @@ def _check_pairs(kind: str, pairs, known, path) -> None:
 
 
 def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
-                target: AlignmentSpace, seed_pairs, seed_path, lexicon_pairs,
+                target: AlignmentSpace, seed_pairs, lexicon_pairs,
                 state_path, log=_quiet) -> AlignmentState:
-    """Induce the transform from the seed pairs read from `seed_path`, and
-    save the state.  With `cfg.use_seed_lexicon`, the lexicon pairs whose
-    two items are in the spaces join the seeds."""
+    """Induce the transform from the checked seed pairs, and save the
+    state.  With `cfg.use_seed_lexicon`, the lexicon pairs whose two items
+    are in the spaces join the seeds."""
     log("stage align: self-learning transform induction")
-    _check_pairs("seed", seed_pairs, (source.index, target.index), seed_path)
     state = AlignmentState(source=source, target=target,
                            ent_pairs=list(seed_pairs),
                            lexeme_top_f=cfg.lexeme_top_f)
@@ -171,14 +164,10 @@ def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
     return state
 
 
-def evaluate_stage(cfg: PipelineConfig, test_pairs, test_path,
-                   state: AlignmentState, report_path=None,
-                   log=_quiet) -> EvalReport:
-    """Score the test pairs read from `test_path`, which must name known
-    entities, each at most once a side."""
+def evaluate_stage(cfg: PipelineConfig, test_pairs, state: AlignmentState,
+                   report_path=None, log=_quiet) -> EvalReport:
+    """Score the checked test pairs."""
     log("stage eval: ranking held-out gold pairs")
-    _check_pairs("test", test_pairs, (state.source.index, state.target.index),
-                 test_path)
     report = evaluate(test_pairs, state, cfg.neighbor_query(), p=cfg.eval_p,
                       candidate_mode=cfg.candidate_mode)
     if report_path is not None:
@@ -188,43 +177,43 @@ def evaluate_stage(cfg: PipelineConfig, test_pairs, test_path,
     return report
 
 
-def read_gold(paths: BenchmarkPaths, configs, graphs,
-              seed: int) -> tuple[list, list]:
-    """The gold entity pairs, and the gold lexeme pairs if one of
-    `configs` uses the seed lexicon (else none).  The seed and test pairs
-    of each config's split must name entities of `graphs`, the source and
+def read_gold(paths: BenchmarkPaths, configs, graphs, seed: int):
+    """{seed fraction: (seed pairs, test pairs)} of the gold entity pairs,
+    split once for each distinct fraction of `configs`, and the gold
+    lexeme pairs if one of `configs` uses the seed lexicon (else none).
+    Each split's pairs must name entities of `graphs`, the source and
     target KGs, each at most once a side.  Commands read them before their
     first stage, so that a malformed line or an unknown entity stops them
     before they write anything."""
     entities = alignment.load_seed_pairs(paths.gold_entities)
     known = tuple({ENTITY_PREFIX + e for e in graph.entities}
                   for graph in graphs)
+    splits = {}
     for fraction in dict.fromkeys(c.seed_fraction for c in configs):
-        for kind, pairs in zip(("seed", "test"),
-                               split_gold(entities, fraction, seed)):
-            _check_pairs(kind, pairs, known, paths.gold_entities)
+        splits[fraction] = split_gold(entities, fraction, seed)
+        for kind, pairs in zip(("seed", "test"), splits[fraction]):
+            check_pairs(kind, pairs, known, paths.gold_entities)
     if not any(c.use_seed_lexicon for c in configs):
-        return entities, []
-    return entities, alignment.load_seed_pairs(paths.gold_lexemes)
+        return splits, []
+    return splits, alignment.load_lexicon(paths.gold_lexemes)
 
 
-def _align_and_evaluate(cfg, paths, gold, grounded, spaces, out: Path,
-                        seed: int, log) -> EvalReport:
+def _align_and_evaluate(cfg, gold, grounded, spaces, out: Path,
+                        log) -> EvalReport:
     """Write the grounded corpora and the spaces to `out`, then align the
-    `.vec` files written, as `kgalign align` does, on the seed split of
-    the `read_gold` entity pairs, and evaluate on the rest."""
+    `.vec` files written, as `kgalign align` does, on the seed pairs of
+    `cfg`'s `read_gold` split, and evaluate on its test pairs."""
     out.mkdir(parents=True, exist_ok=True)
     for side, (_, corpus), space in zip(("src", "tgt"), grounded, spaces):
         grounding.write_grounded(corpus, out / f"{side}.grounded")
         embedding.write_embeddings(space, out / f"{side}_emb")
-    gold_entities, gold_lexemes = gold
-    seed_pairs, test_pairs = split_gold(gold_entities, cfg.seed_fraction, seed)
+    splits, gold_lexemes = gold
+    seed_pairs, test_pairs = splits[cfg.seed_fraction]
     state = align_stage(cfg, AlignmentSpace.from_file(out / "src_emb.vec"),
                         AlignmentSpace.from_file(out / "tgt_emb.vec"),
-                        seed_pairs, paths.gold_entities, gold_lexemes,
+                        seed_pairs, gold_lexemes,
                         out / "alignment_state.json", log)
-    return evaluate_stage(cfg, test_pairs, paths.gold_entities, state,
-                          out / "report.tsv", log)
+    return evaluate_stage(cfg, test_pairs, state, out / "report.tsv", log)
 
 
 def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
@@ -232,9 +221,10 @@ def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
     graphs = load_graphs(paths)
     gold = read_gold(paths, [cfg], graphs, seed)
     grounded = ground_stage(paths, graphs, log)
-    spaces = train_stage(cfg, grounded, seed, log)
+    log(TRAIN_MESSAGE)
+    spaces = train_spaces([cfg.optimizer], grounded, seed)[cfg.optimizer]
     return PipelineResult(_align_and_evaluate(
-        cfg, paths, gold, grounded, spaces, Path(out_dir), seed, log))
+        cfg, gold, grounded, spaces, Path(out_dir), log))
 
 
 # name -> (flag that switches it on in `kgalign run`, or None,
@@ -283,8 +273,8 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
             announced.add(cfg.optimizer)
             log(TRAIN_MESSAGE)
         reports[name] = _align_and_evaluate(
-            cfg, paths, gold, grounded, spaces[cfg.optimizer],
-            Path(out_dir) / name, seed, log)
+            cfg, gold, grounded, spaces[cfg.optimizer], Path(out_dir) / name,
+            log)
     return reports
 
 

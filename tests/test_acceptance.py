@@ -133,7 +133,8 @@ def test_criterion_3_csls_oracle():
         oracle = brute_csls(list(src), list(tgt), csls_k)
         q = NeighborQuery(metric="csls", csls_k=csls_k)
         ids = [f"e{i}" for i in range(n)]
-        scores = stacked(infer_batch(ids, state, q, ids))
+        scores = stacked(infer_batch(ids, state, q,
+                                     state.target.entity_rows(ids)))
         max_dev = max(max_dev, float(np.abs(scores - oracle).max()))
         proposal = stacked(alignment._score_blocks(src, tgt, q))
         max_dev = max(max_dev, float(np.abs(proposal - oracle).max()))
@@ -288,7 +289,8 @@ def test_criterion_5_metric_oracle():
     pairs = [(f"e{i}", f"e{i}") for i in range(n)]
     rep = evaluate(pairs, state, q, p=10, candidate_mode="all")
     ids = [f"e{i}" for i in range(n)]
-    scores = stacked(infer_batch(ids, state, q, ids))
+    scores = stacked(infer_batch(ids, state, q,
+                                 state.target.entity_rows(ids)))
     oracle_ranks = [brute_rank(scores[i], i) for i in range(n)]
     oracle_ok = (list(rep.ranks) == oracle_ranks
                  and rep.h_at_1 == pytest.approx(

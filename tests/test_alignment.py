@@ -420,7 +420,8 @@ class TestSelfLearn:
 
 def ranked(state, q, query_id, ids):
     """Candidates best-first under infer_batch, ties to the lower index."""
-    row = stacked(infer_batch([query_id], state, q, ids))[0]
+    row = stacked(infer_batch([query_id], state, q,
+                              state.target.entity_rows(ids)))[0]
     ranks = [brute_rank(row, i) for i in range(len(ids))]
     return [ids[i] for i in np.argsort(ranks)]
 
@@ -450,7 +451,8 @@ class TestInfer:
             q = NeighborQuery(metric=metric)
             assert ranked(state, q, "e1", ["e2"]) == ["e2"]
             assert np.isfinite(
-                stacked(infer_batch(["e1"], state, q, ["e2"]))).all()
+                stacked(infer_batch(["e1"], state, q,
+                                    tgt.entity_rows(["e2"])))).all()
 
     def test_unknown_entity_rejected(self):
         rng = np.random.default_rng(18)
@@ -460,9 +462,11 @@ class TestInfer:
                                ent_pairs=[("e0", "e0")])
         state.transform = np.eye(4)
         with pytest.raises(KeyError, match="unknown entity id 'nope'"):
-            infer_batch(["nope"], state, NeighborQuery(), ["e0"])
+            infer_batch(["nope"], state, NeighborQuery(),
+                        state.target.entity_rows(["e0"]))
         with pytest.raises(KeyError, match="unknown entity id 'nope'"):
-            infer_batch(["e0"], state, NeighborQuery(), ["nope"])
+            infer_batch(["e0"], state, NeighborQuery(),
+                        state.target.entity_rows(["nope"]))
 
     def test_l2_ranking_matches_brute_force(self):
         rng = np.random.default_rng(19)
@@ -473,7 +477,8 @@ class TestInfer:
         state.transform = random_orthogonal(rng, 4)
         ids = [f"e{i}" for i in range(6)]
         q = NeighborQuery(metric="l2")
-        scores = stacked(infer_batch(ids, state, q, ids))
+        scores = stacked(infer_batch(ids, state, q,
+                                     state.target.entity_rows(ids)))
         for row, e in zip(scores, ids):
             mapped = state.transform @ src.vectors[src.items.index(f"@ent:{e}")]
             dists = [np.linalg.norm(mapped - tgt.vectors[j])
@@ -500,7 +505,8 @@ class TestInfer:
         cands = [tgt.vectors[int(e[1:])] for e in cand_ids]
         for k in (1, 3, 20):
             expected = brute_csls(queries, cands, k, cand_ref=list(mapped))
-            got = stacked(infer_batch(query_ids, state, csls(k), cand_ids))
+            got = stacked(infer_batch(
+                query_ids, state, csls(k), tgt.entity_rows(cand_ids)))
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
             # the reference set matters on this fixture
             assert not np.allclose(got, brute_csls(queries, cands, k))

@@ -67,7 +67,7 @@ class TestHandFixture:
         rng = np.random.default_rng(3)
         state = make_state(rng, n=5)
         state.target = space_from(state.target.vectors[:4])
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(KeyError, match="unknown entity id 'e4'"):
             evaluate([("e0", "e4")], state, NeighborQuery(),
                      candidate_mode="all")
 
@@ -82,7 +82,7 @@ class TestAgainstOracle:
         report = evaluate(pairs, state, q, p=10, candidate_mode="all")
         ids = [f"e{i}" for i in range(200)]
         scores = stacked(infer_batch([s for s, _ in pairs], state, q,
-                                     ids))
+                                     state.target.entity_rows(ids)))
         for row, (_, gold), rank in zip(scores, pairs, report.ranks):
             assert rank == brute_rank(row, ids.index(gold))
         oracle_ranks = [brute_rank(row, ids.index(gold))

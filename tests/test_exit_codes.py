@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from kgalign import alignment, grounding, kg, pipeline
+from kgalign import alignment, embedding, grounding, kg, pipeline
 from kgalign.synth import BenchmarkParams, BenchmarkPaths, generate_benchmark
 
 from conftest import main_exit_code
@@ -183,6 +183,26 @@ def out_of_memory(monkeypatch, owner, attr, message=""):
     monkeypatch.setattr(owner, attr, fail)
 
 
+def with_wide_target(tmp_path, monkeypatch):
+    """`align_inputs`, run from `tmp_path` on its relative `.vec` paths,
+    after the target space gains two columns and so becomes 5-d."""
+    args = align_inputs(tmp_path)
+    tokens, mat = embedding.read_embeddings(tmp_path / "tgt.vec")
+    write_vec(tmp_path / "tgt.vec", tokens,
+              np.hstack([mat, np.ones((len(mat), 2))]))
+    monkeypatch.chdir(tmp_path)
+    args[2], args[4] = "src", "tgt"
+    return args
+
+
+def widen_target(data):
+    """Give a saved state a 5-d target, into which a 5x3 transform maps
+    its 3-d source."""
+    data["target"]["vectors"] = [row + [0.5, 0.5]
+                                 for row in data["target"]["vectors"]]
+    data["transform"] = np.eye(5, 3).tolist()
+
+
 def align_with_failing_svd(tmp_path, monkeypatch):
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -251,6 +271,11 @@ CASES = {
             lambda d: d["transform"][0].__setitem__(0, float("nan")))),
         1, "saved.json: malformed state file: transform has a non-finite "
         "value"),
+    # the transform maps one space into another of the same width
+    "eval-state-width-mismatch": (
+        lambda p, mp: eval_inputs(p, edit_json(widen_target)), 1,
+        "saved.json: malformed state file: source vectors have 3 values, "
+        "target vectors 5"),
     "eval-state-truncated": (
         lambda p, mp: eval_inputs(p, lambda text: text[:len(text) // 2]),
         1, "saved.json: not a JSON state file"),
@@ -336,6 +361,9 @@ CASES = {
         lambda p, mp: align_inputs(p, edit_src=edit_line(
             1, lambda line: f"12 {10**20}")),
         1, f"src.vec: line 2: 3 values, the header says {10**20}"),
+    "align-vec-width-mismatch": (
+        with_wide_target, 1,
+        "error: src.vec and tgt.vec differ in width: 3 and 5 values a row"),
     "align-seed-unknown-entity": (
         lambda p, mp: align_inputs(p, seeds=SEEDS + "zz\te5\n"), 1,
         "seeds.tsv: seed pair zz\te5: source entity 'zz' is unknown"),
@@ -351,6 +379,12 @@ CASES = {
     "align-lexicon-empty-field": (
         lambda p, mp: with_lexicon(p, "w0\tw0\nsw500\t\n"), 1,
         "lexicon.tsv: line 2: expected `source<TAB>target`"),
+    # a raw corpus holds no entity marker, so a lexicon item that is one
+    # is never a word
+    "align-lexicon-entity-marker": (
+        lambda p, mp: with_lexicon(p, "w0\tw0\n@ent:e7\t@ent:e7\n"), 1,
+        "lexicon.tsv: line 2: lexicon item '@ent:e7' is an entity marker, "
+        "not a word"),
     "ground-valid": (
         lambda p, mp: ground_inputs(p, "a\tsx\nb\tbee\n"), 0, ""),
     "ground-forms-empty-id": (
@@ -456,6 +490,13 @@ CASES = {
             run_inputs(p, ONE_EPOCH) + ["--seed-lexicon"],
             p / "bench" / "gold_lexemes.tsv"), 1,
         "gold_lexemes.tsv: line 2: expected `source<TAB>target`"),
+    "run-gold-lexicon-entity-marker": (
+        lambda p, mp: with_gold_edit(
+            run_inputs(p, ONE_EPOCH) + ["--seed-lexicon"],
+            p / "bench" / "gold_lexemes.tsv", 3,
+            lambda line: "sw2\t@ent:b8"), 1,
+        "gold_lexemes.tsv: line 3: lexicon item '@ent:b8' is an entity "
+        "marker, not a word"),
     "ablate-gold-malformed": (
         lambda p, mp: with_bad_gold(ablate_inputs(p),
                                     p / "bench" / "gold_entities.tsv"), 1,

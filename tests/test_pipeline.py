@@ -65,8 +65,12 @@ def built_config(command, tmp_path, monkeypatch, *options):
     monkeypatch.setattr(pipeline, "run_pipeline", stage)
     monkeypatch.setattr(pipeline, "align_stage", stage)
     monkeypatch.setattr(pipeline, "evaluate_stage", stage)
-    monkeypatch.setattr(alignment.AlignmentSpace, "from_file", lambda p: None)
-    monkeypatch.setattr(alignment, "load_state", lambda p: None)
+    # one space of the entities of `pairs.tsv`, whose pair it checks
+    space = alignment.AlignmentSpace(("@ent:a", "@ent:b"), np.eye(2))
+    monkeypatch.setattr(alignment.AlignmentSpace, "from_file",
+                        lambda p: space)
+    monkeypatch.setattr(alignment, "load_state",
+                        lambda p: SimpleNamespace(source=space, target=space))
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("a\tb\n", encoding="utf-8")
     args = {"run": ["--bench", tmp_path, "--out", tmp_path / "out"],
@@ -473,6 +477,42 @@ class TestCli:
         for name in ("alignment_state.json", "report.tsv"):
             assert (tmp_path / name).read_bytes() == \
                 (run_dir / name).read_bytes(), name
+
+    def test_each_pair_list_is_checked_once(self, bench, tmp_path,
+                                            monkeypatch):
+        """`run` and `ablate` check the seed and the test pairs of their
+        one seed fraction once each, however many settings share it;
+        `align` checks its seed file once and `eval` its test file."""
+        kinds = []
+        check = pipeline.check_pairs
+
+        def counting_check(kind, pairs, known, path):
+            kinds.append(kind)
+            check(kind, pairs, known, path)
+
+        monkeypatch.setattr(pipeline, "check_pairs", counting_check)
+        cfg_file = tmp_path / "quick.cfg"
+        cfg_file.write_text("dim = 8\nepochs = 40\nbatch_size = 32\n"
+                            "min_freq = 1\n")
+        bench_args = ["--bench", bench.gold_entities.parent,
+                      "--config", cfg_file]
+        run_dir = tmp_path / "run"
+        commands = [
+            (["run", *bench_args, "--out", run_dir], ["seed", "test"]),
+            (["ablate", *bench_args, "--out", tmp_path / "grid", "--settings",
+              "full,no_gcn,no_self_learning,l2_metric"], ["seed", "test"]),
+            (["align", "--src-emb", run_dir / "src_emb",
+              "--tgt-emb", run_dir / "tgt_emb",
+              "--seed-entities", bench.gold_entities,
+              "--out", tmp_path / "state.json"], ["seed"]),
+            (["eval", "--state", tmp_path / "state.json",
+              "--test", bench.gold_entities], ["test"]),
+        ]
+        for args, expected in commands:
+            kinds.clear()
+            res = CliRunner().invoke(cli, [str(a) for a in args])
+            assert res.exit_code == 0, res.output
+            assert kinds == expected, args[0]
 
     def test_align_keeps_lexicon_pairs_in_the_spaces(self, bench, tmp_path):
         run_pipeline(quick_config(), bench, tmp_path / "run", seed=0)

@@ -1,6 +1,7 @@
 """Every top-level function and class of `src/kgalign`, and every member
 of its classes, is used by the program or by its benchmark, not by the
-tests alone."""
+tests alone; and no module of `src/kgalign` reads another's `_private`
+names."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,28 @@ def test_every_class_member_is_read_outside_the_tests():
     assert [f"{module}: {cls}.{member}" for module, cls, member in defined
             if member not in read and (module, cls, member) not in EXEMPT
             ] == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(tree, modules):
+    """`module._name` of each `_private` name that `tree` takes from one
+    of the kgalign `modules`, as an attribute or by a relative import."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names
+                        if is_private(alias.name))
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = {path.stem for path in SRC}
+    assert {"alignment", "pipeline", "cli"} <= modules
+    assert {path.name: list(private_reads(
+        ast.parse(path.read_text(encoding="utf-8")), modules))
+        for path in SRC} == {path.name: [] for path in SRC}
