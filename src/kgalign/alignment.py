@@ -385,21 +385,46 @@ def save_state(state: AlignmentState, path) -> None:
         fh.write("}")
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """`value` as `np.array(value, dtype=float)` makes it, except that a
+    JSON true or false in a matrix is not a number: it raises a
+    ValueError that names `name`."""
+    array = np.array(value, dtype=float)
+    if array.ndim == 2:
+        # a bool converts to 0.0 or 1.0, so only a row holding one of
+        # those can hold a bool: only those rows are looked at in Python
+        zero_or_one = array == 0
+        zero_or_one |= array == 1
+        suspect = np.flatnonzero(zero_or_one.any(axis=1))
+        if any(type(x) is bool for i in suspect for x in value[i]):
+            raise ValueError(f"{name} must be numbers, not true or false")
+    return array
+
+
+def _parsed_side(obj: dict) -> dict:
+    """A `json.loads` object hook: the `vectors` of an object as a float
+    array, made when the object closes, so that one side's Python floats
+    are freed before the next side is parsed.  Rows that are not numbers
+    of one width stay as parsed."""
+    if "vectors" in obj:
+        try:
+            obj["vectors"] = _float_array(obj["vectors"], "vectors")
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
 def _space_of(side: str, payload) -> AlignmentSpace:
     """One side of a saved state: unique string items, each with one
     finite vector row that is not all zeros, the rows of one width."""
-    items, rows = payload["items"], payload["vectors"]
-    try:
-        vectors = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        vectors = None
+    items, vectors = payload["items"], payload["vectors"]
     if not isinstance(items, list) or not items or not all(
             isinstance(it, str) for it in items):
         problem = "items must be a non-empty list of strings"
     elif len(set(items)) != len(items):
         twice = next(it for it, n in Counter(items).items() if n > 1)
         problem = f"item {twice!r} is listed twice"
-    elif vectors is None or vectors.ndim != 2:
+    elif not isinstance(vectors, np.ndarray) or vectors.ndim != 2:
         problem = "vectors must be rows of numbers of one width"
     elif len(vectors) != len(items):
         problem = f"has {len(items)} items but {len(vectors)} vector rows"
@@ -420,7 +445,7 @@ def load_state(path) -> AlignmentState:
     with open_text(path) as fh:
         text = fh.read()             # the file's bytes go when it closes
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_hook=_parsed_side)
     except ValueError as exc:
         raise ValueError(f"{path}: not a JSON state file: {exc}") from None
     del text
@@ -430,7 +455,7 @@ def load_state(path) -> AlignmentState:
             target=_space_of("target", data["target"]),
             ent_pairs=[tuple(p) for p in data["ent_pairs"]],
             lex_pairs=[tuple(p) for p in data["lex_pairs"]],
-            transform=np.array(data.get("transform"), dtype=float),
+            transform=_float_array(data.get("transform"), "transform"),
             iteration=data["iteration"],
             proposal_counts=list(data["proposal_counts"]),
             lexeme_top_f=data["lexeme_top_f"],

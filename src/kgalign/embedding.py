@@ -13,13 +13,16 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import OptimizerConfig, open_text
 from .grounding import ENTITY_PREFIX, GroundedCorpus
 from .kg import KnowledgeGraph, relation_stats
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 EPS = 1e-12
 RARE_TOKEN = "<unk>"
@@ -555,7 +558,8 @@ def write_embeddings(space: EmbeddingSpace, prefix) -> None:
 def read_embeddings(path) -> tuple[list[str], np.ndarray]:
     """Tokens and rows of a word2vec text file.  A bad header, a duplicate
     token, a row of the wrong width or count, and a non-numeric or
-    non-finite value raise a ValueError with the file and line."""
+    non-finite value, or one holding `_` or a non-ASCII character, raise
+    a ValueError with the file and line."""
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(h.isascii() and h.isdigit()
@@ -579,6 +583,13 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
             if len(values) != dim:
                 raise ValueError(f"{where} {len(values)} values, the header "
                                  f"says {dim}")
+            # float() also reads `1_0` and non-ASCII digits, which no
+            # word2vec writer emits; the token may hold either
+            tail = line[len(token):]
+            if "_" in tail or not tail.isascii():
+                bad = next(x for x in values if "_" in x or not x.isascii())
+                raise ValueError(f"{where} value {bad!r} is not an ASCII "
+                                 "number without underscores")
             try:
                 row = [float(x) for x in values]
             except ValueError as exc:

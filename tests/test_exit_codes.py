@@ -298,6 +298,20 @@ CASES = {
             lambda d: d["source"]["vectors"][2].__setitem__(1, float("nan")))),
         1, "saved.json: malformed state file: source vector of '@ent:e2' has "
         "a non-finite value"),
+    # JSON true and false are not numbers, though numpy reads 1.0 and 0.0
+    "eval-state-boolean-vector": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["source"]["vectors"].__setitem__(2, [True, False,
+                                                             0.5]))),
+        1, "saved.json: malformed state file: source vectors must be rows "
+        "of numbers of one width"),
+    "eval-state-boolean-transform": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(transform=[[True, False, False],
+                                          [False, True, False],
+                                          [False, False, True]]))),
+        1, "saved.json: malformed state file: transform must be numbers, "
+        "not true or false"),
     # a zero row has no direction: CSLS cannot score it, and L2 would
     "eval-state-zero-row": (
         lambda p, mp: eval_inputs(p, edit_json(
@@ -340,6 +354,22 @@ CASES = {
         lambda p, mp: align_inputs(p, edit_src=edit_line(
             3, lambda line: line.rsplit(" ", 1)[0] + " x")),
         1, "src.vec: line 3: could not convert string to float: 'x'"),
+    # float() reads `1_0` as 10 and `١` as 1; no word2vec writer emits
+    # either, so neither is read as a number
+    "align-vec-underscore-value": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            3, lambda line: line.rsplit(" ", 1)[0] + " 1_0")),
+        1, "src.vec: line 3: value '1_0' is not an ASCII number without "
+        "underscores"),
+    "align-vec-non-ascii-digit": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            4, lambda line: line.rsplit(" ", 1)[0] + " \u0661")),
+        1, "src.vec: line 4: value '\u0661' is not an ASCII number without "
+        "underscores"),
+    # an underscore in a token is no value
+    "align-vec-underscore-token": (
+        lambda p, mp: align_inputs(p, edit_src=edit_line(
+            13, lambda line: "w_3 " + line.split(" ", 1)[1])), 0, ""),
     "align-vec-non-finite": (
         lambda p, mp: align_inputs(p, edit_src=edit_line(
             5, lambda line: line.rsplit(" ", 1)[0] + " inf")),

@@ -3,11 +3,12 @@ consistent result or raises a ValueError that names the file, no text
 makes a loader run long, and every loader names the file and line of a
 byte that is not UTF-8."""
 
+import io
 import json
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgalign import config
@@ -47,6 +48,8 @@ def write(tmp_path_factory, text):
 
 @settings(max_examples=300, deadline=None)
 @given(text=TEXTS)
+@example(text="1 2\n@ent:a 1_0 0.5\n")
+@example(text="1 1\n@e_nt:a \u0661\n")
 def test_read_embeddings_loads_or_names_the_file(tmp_path_factory, text):
     path = write(tmp_path_factory, text)
     with time_limit(10):
@@ -59,6 +62,10 @@ def test_read_embeddings_loads_or_names_the_file(tmp_path_factory, text):
     assert mat.shape == (len(tokens), dim)
     assert len(set(tokens)) == len(tokens)
     assert np.isfinite(mat).all()
+    # every value read is one a word2vec writer emits: ASCII, with no `_`
+    for line in list(io.StringIO(text, newline=None))[1:]:
+        values = line.rstrip("\n").split(" ")[1:]
+        assert all(v.isascii() and "_" not in v for v in values), line
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,7 +131,7 @@ def apply_edit(data, kind, side, i, j, value):
     """Edit `kind` of one side of a parsed state file at the positions `i`
     and `j`, taken modulo the length.  A renamed item becomes `value`; a
     non-finite cell is `value` if that is "inf" or "-inf", else nan; a
-    zeroed row keeps its width."""
+    zeroed row keeps its width; a boolean cell is true for odd `j`."""
     items, rows = data[side]["items"], data[side]["vectors"]
     if kind == "drop-item" and items:
         del items[i % len(items)]
@@ -145,11 +152,15 @@ def apply_edit(data, kind, side, i, j, value):
         row[j % len(row)] = float(value if value in ("inf", "-inf") else "nan")
     elif kind == "zero-row" and rows:
         rows[i % len(rows)] = [0.0] * len(rows[i % len(rows)])
+    elif kind == "boolean" and rows and rows[i % len(rows)]:
+        row = rows[i % len(rows)]
+        row[j % len(row)] = bool(j % 2)
 
 
 EDITS = st.lists(st.tuples(
     st.sampled_from(["drop-item", "duplicate-item", "rename-item", "add-row",
-                     "drop-row", "shorten-row", "non-finite", "zero-row"]),
+                     "drop-row", "shorten-row", "non-finite", "zero-row",
+                     "boolean"]),
     st.sampled_from(["source", "target"]), st.integers(0, 20),
     st.integers(0, 20),
     st.one_of(st.sampled_from(["inf", "-inf", "@ent:e0", "w0", "", None]),
@@ -177,6 +188,9 @@ def test_load_state_checks_each_side(tmp_path_factory, edits):
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: "), exc
             return
+    # JSON true and false are not numbers
+    assert not any(type(x) is bool for side in ("source", "target")
+                   for row in data[side]["vectors"] for x in row)
     for space in (state.source, state.target):
         assert len(space.items) == len(space.vectors)
         assert len(set(space.items)) == len(space.items)
