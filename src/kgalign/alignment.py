@@ -111,8 +111,8 @@ def procrustes_solve(pairs_x: np.ndarray, pairs_y: np.ndarray) -> np.ndarray:
     return vt.T @ u.T
 
 
-# Cells of one block of a score matrix: 2**19 float64 values, 4 MB.
-BLOCK_CELLS = 1 << 19
+# Cells of one block of a score matrix: 2**18 float64 values, 2 MB.
+BLOCK_CELLS = 1 << 18
 
 
 def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None):
@@ -123,11 +123,14 @@ def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None):
         yield slice(start, min(start + step, n_rows))
 
 
-def _block_buffer(n_rows: int, n_cols: int) -> np.ndarray:
-    """Memory for the largest block `_row_blocks(n_rows, n_cols)` yields,
-    its first."""
-    first = next(_row_blocks(n_rows, n_cols), slice(0, 0))
-    return np.empty((first.stop - first.start) * n_cols)
+def _block_buffer(*shapes: tuple[int, int]) -> np.ndarray:
+    """Memory for the largest block `_row_blocks` yields for any of the
+    (n_rows, n_cols) `shapes`: the largest of their first blocks."""
+    cells = 0
+    for n_rows, n_cols in shapes:
+        first = next(_row_blocks(n_rows, n_cols), slice(0, 0))
+        cells = max(cells, (first.stop - first.start) * n_cols)
+    return np.empty(cells)
 
 
 def _cosines(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -153,14 +156,13 @@ def neg_l2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -np.sqrt(np.maximum(sq, 0.0))
 
 
-def _row_topk_means(a: np.ndarray, b: np.ndarray, k: int,
+def _row_topk_means(a: np.ndarray, b: np.ndarray, k: int, buf: np.ndarray,
                     column_sum: bool = False) -> np.ndarray:
     """Each row of `a`'s mean cosine to its k nearest rows of `b`, unit
-    rows both, one block of cosines at a time in one buffer.  With
+    rows both, one block of cosines at a time in `buf`.  With
     `column_sum` the k values are summed in order, as a column mean of
     `b @ a.T` sums them, not pairwise as a row mean does."""
     means = np.empty(len(a))
-    buf = _block_buffer(len(a), len(b))
     for rows in _row_blocks(len(a), len(b)):
         top = _row_topk(_cosines(a[rows], b, buf), k)
         means[rows] = (np.ascontiguousarray(top.T).mean(axis=0)
@@ -168,40 +170,37 @@ def _row_topk_means(a: np.ndarray, b: np.ndarray, k: int,
     return means
 
 
-def _csls_penalties(queries: np.ndarray, cands: np.ndarray, k: int,
-                    cand_ref: np.ndarray | None):
-    """The two CSLS penalties of unit rows, each from row blocks of
-    cosines: each query's mean cosine to its k nearest candidates, and
-    each candidate's to its k nearest rows of `cand_ref`.  With no
-    `cand_ref` the reference rows are the queries, and the candidate
-    penalty is the column top-k mean of the query-candidate cosines,
-    taken as the row top-k of the candidate-query ones."""
-    r_query = _row_topk_means(queries, cands, k)
-    if cand_ref is None:
-        return r_query, _row_topk_means(cands, queries, k, column_sum=True)
-    return r_query, _row_topk_means(cands, cand_ref, k)
-
-
 def _score_blocks(queries: np.ndarray, cands: np.ndarray, q: NeighborQuery,
                   cand_ref: np.ndarray | None = None):
     """Yield (rows, scores of those query rows against every candidate),
     higher is better, under the query's metric; the blocks cover the query
-    rows in order and each holds at most BLOCK_CELLS cells.  CSLS blocks
-    share one buffer, so a block is valid only until the next is yielded.
+    rows in order and each holds at most BLOCK_CELLS cells.  A CSLS call
+    builds every block, of its penalties and of its scores, in one buffer,
+    so a block is valid only until the next is yielded.
 
     CSLS is 2 cos(x, y) minus the mean cosine of x to its csls_k nearest
     candidates, minus the mean cosine of y to its csls_k nearest rows of
     `cand_ref`.  With no `cand_ref` the reference rows are the queries.
+    The arrays passed in are never written; the call holds unit-row
+    copies of them, so a caller that keeps no reference to an argument
+    lets it be freed when its copy is made.
     """
     if q.metric != "csls":
         for rows in _row_blocks(len(queries), len(cands)):
             yield rows, neg_l2_matrix(queries[rows], cands)
         return
-    queries, cands = unit_rows(queries), unit_rows(cands)
-    if cand_ref is not None:
-        cand_ref = unit_rows(cand_ref)
-    r_query, r_cand = _csls_penalties(queries, cands, q.csls_k, cand_ref)
-    buf = _block_buffer(len(queries), len(cands))
+    queries = unit_rows(queries)
+    cands = unit_rows(cands)
+    ref = queries if cand_ref is None else unit_rows(cand_ref)
+    buf = _block_buffer((len(queries), len(cands)), (len(cands), len(ref)))
+    # the penalties, each a row top-k mean over row blocks of cosines.
+    # With no `cand_ref`, a candidate's is the column top-k mean of the
+    # query-candidate cosines, taken as the row top-k of the
+    # candidate-query ones.
+    r_query = _row_topk_means(queries, cands, q.csls_k, buf)
+    r_cand = _row_topk_means(cands, ref, q.csls_k, buf,
+                             column_sum=cand_ref is None)
+    del ref, cand_ref                # only the penalties read them
     for rows in _row_blocks(len(queries), len(cands)):
         # 2 cos - r_query - r_cand, in that order, in the one buffer
         block = _cosines(queries[rows], cands, buf)
@@ -247,7 +246,6 @@ def propose_pairs(state: AlignmentState,
                                  state.lexeme_top_f)
     if len(src_idx) == 0 or len(tgt_idx) == 0:
         return []
-    mapped = state.source.vectors[src_idx] @ state.transform.T
     nn_of_src = np.empty(len(src_idx), dtype=np.int64)
     # column argmax over the blocks: a later block takes a column only on a
     # strictly larger score, so ties go to the lower row, as in one block.
@@ -255,8 +253,11 @@ def propose_pairs(state: AlignmentState,
     # argmax(axis=0) finds only through a transposed copy of the block.
     nn_of_tgt = np.zeros(len(tgt_idx), dtype=np.int64)
     best = np.full(len(tgt_idx), -np.inf)
-    for rows, scores in _score_blocks(mapped, state.target.vectors[tgt_idx],
-                                      q):
+    # the mapped and gathered rows are passed without a name, so each is
+    # freed as the scorer makes its unit-row copy
+    for rows, scores in _score_blocks(
+            state.source.vectors[src_idx] @ state.transform.T,
+            state.target.vectors[tgt_idx], q):
         nn_of_src[rows] = scores.argmax(axis=1)
         block_best = scores.max(axis=0)
         block_nn = (scores == block_best).argmax(axis=0)

@@ -114,6 +114,11 @@ def score_matrix(queries, cands, q, cand_ref=None):
     return stacked(_score_blocks(queries, cands, q, cand_ref))
 
 
+def bits(scores):
+    """The bit patterns of float64 scores, so that equality is exact."""
+    return scores.view(np.int64)
+
+
 class TestCSLS:
     def test_degenerate_cloud_zero(self):
         cloud = np.tile([0.3, 0.4], (3, 1))
@@ -207,6 +212,52 @@ class TestBlocks:
                                       one.argmax(axis=1))
         np.testing.assert_array_equal(many.argmax(axis=0),
                                       one.argmax(axis=0))
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_shared_buffer_gives_fresh_block_bits(self, monkeypatch, dim,
+                                                  with_ref):
+        """Every block of a CSLS call, of its penalties and of its scores,
+        built in the call's one buffer has the bits of the same block
+        built in an array of its own, at 2**19 cells and at BLOCK_CELLS;
+        1200 x 1100 spans several blocks at both.  Blocks of other
+        heights are not compared bit for bit: BLAS can round a row's
+        cosines in the last bit differently when the rows around it
+        change."""
+        rng = np.random.default_rng(29)
+        queries = rng.standard_normal((1200, dim))
+        cands = rng.standard_normal((1100, dim))
+        ref = rng.standard_normal((1300, dim)) if with_ref else None
+        for cells in (1 << 19, alignment.BLOCK_CELLS):
+            monkeypatch.setattr(alignment, "BLOCK_CELLS", cells)
+            assert len(list(alignment._row_blocks(1200, 1100))) > 2
+            shared = score_matrix(queries, cands, csls(10), cand_ref=ref)
+            with monkeypatch.context() as fresh:
+                fresh.setattr(alignment, "_cosines", lambda a, b, buf: a @ b.T)
+                own = score_matrix(queries, cands, csls(10), cand_ref=ref)
+            np.testing.assert_array_equal(bits(shared), bits(own))
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_one_buffer_per_csls_call(self, monkeypatch, with_ref):
+        """Both penalty passes and the score pass share one buffer, sized
+        to the larger of their first blocks."""
+        rng = np.random.default_rng(30)
+        queries = rng.standard_normal((300, 6))
+        cands = rng.standard_normal((260, 6))
+        ref = rng.standard_normal((320, 6)) if with_ref else None
+        sizes = []
+        make = alignment._block_buffer
+
+        def counted(*shapes):
+            buf = make(*shapes)
+            sizes.append(len(buf))
+            return buf
+
+        monkeypatch.setattr(alignment, "_block_buffer", counted)
+        monkeypatch.setattr(alignment, "BLOCK_CELLS", SMALL_BLOCK)
+        score_matrix(queries, cands, csls(5), cand_ref=ref)
+        n_ref = 320 if with_ref else 300
+        assert sizes == [max(43 * 260, SMALL_BLOCK // n_ref * n_ref)]
 
     @pytest.mark.parametrize("q", [csls(5), csls(10),
                                    NeighborQuery(metric="l2")],

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from kgalign import alignment
-from kgalign.alignment import AlignmentState, infer_batch, unit_rows
+from kgalign.alignment import (AlignmentState, _score_blocks, infer_batch,
+                               propose_pairs, self_learn, unit_rows)
 from kgalign.config import NeighborQuery
 from kgalign.evaluation import evaluate
 
 from oracles import brute_rank, random_orthogonal, stacked
-from test_alignment import (SMALL_BLOCK, peak_bytes, planted_state,
-                            space_from)
+from test_alignment import (SMALL_BLOCK, paired_spaces, peak_bytes,
+                            planted_state, space_from)
 
 
 def make_state(rng, n=20, k=6, noise=0.1):
@@ -118,6 +119,33 @@ def test_evaluation_memory_below_blocks():
     pairs = [(f"e{i}", f"e{i}") for i in range(n)]
     assert peak_bytes(evaluate, pairs, state, NeighborQuery(csls_k=10),
                       candidate_mode="all") < 2 * alignment.BLOCK_CELLS * 8
+
+
+@pytest.mark.parametrize("q", [NeighborQuery(csls_k=5),
+                               NeighborQuery(metric="l2")], ids=["csls", "l2"])
+def test_scoring_leaves_caller_arrays_unchanged(monkeypatch, q):
+    """The scorer normalizes copies: no step writes the arrays passed to
+    it, the state's vectors or its transform."""
+    monkeypatch.setattr(alignment, "BLOCK_CELLS", SMALL_BLOCK)
+    rng = np.random.default_rng(11)
+    args = [rng.standard_normal((300, 8)), rng.standard_normal((260, 8)),
+            rng.standard_normal((320, 8))]
+    src, tgt = paired_spaces(rng)
+    state = AlignmentState(source=src, target=tgt,
+                           ent_pairs=[(f"e{i}", f"e{i}") for i in range(20)])
+    state.transform = random_orthogonal(rng, 8)
+    held = [*args, src.vectors, tgt.vectors, state.transform]
+    before = [a.tobytes() for a in held]
+    for cand_ref in (None, args[2]):
+        stacked(_score_blocks(args[0], args[1], q, cand_ref))
+    test = [(f"e{i}", f"e{i}") for i in range(20, 80)]
+    stacked(infer_batch([s for s, _ in test], state, q,
+                        np.flatnonzero(tgt.entity_mask)))
+    evaluate(test, state, q, candidate_mode="all")
+    assert propose_pairs(state, q)
+    self_learn(state, q)
+    assert state.iteration > 0
+    assert [a.tobytes() for a in held] == before
 
 
 class TestProperties:

@@ -2,12 +2,17 @@
 fails if any of them has been renamed or deleted."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from kgalign import embedding, grounding, kg
 from kgalign.synth import BenchmarkParams, generate_benchmark
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def load_spans():
@@ -51,3 +56,14 @@ def test_tracer_counts_grounded_tokens(tmp_path):
     assert span[spans.ATTRS] == {"tokens": n_tokens}
     assert spans.pass_metrics(tracer.spans, 0.0, set())[
         "grounding.tokens"] == n_tokens
+
+
+@pytest.mark.parametrize("record", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_claims_a_declared_metric(record):
+    """Each committed benchmark record claims a workload and an
+    end-to-end metric that BENCHMARK.json declares, in its direction."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    claim = json.loads(record.read_text(encoding="utf-8"))["claim"]
+    assert claim["workload"] in {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    assert metrics.get(claim["metric"]) == claim["better"]
