@@ -21,7 +21,6 @@ from .grounding import ENTITY_PREFIX
 from .synth import BenchmarkPaths
 
 TGT_SEED_OFFSET = 1_000_003  # decorrelates the two training streams
-TRAIN_MESSAGE = "stage train: joint KG+text embedding learning"
 
 
 @dataclass
@@ -44,12 +43,6 @@ def split_gold(gold_pairs: list[tuple[str, str]], seed_fraction: float,
     seed_pairs = [gold_pairs[i] for i in order[:n_seed]]
     test_pairs = [gold_pairs[i] for i in order[n_seed:]]
     return seed_pairs, test_pairs
-
-
-def load_graphs(paths: BenchmarkPaths):
-    """The KG of the source and of the target language."""
-    return (kg.load_kg(paths.src_triples, "src"),
-            kg.load_kg(paths.tgt_triples, "tgt"))
 
 
 def ground_stage(paths: BenchmarkPaths, graphs, log=_quiet):
@@ -181,37 +174,50 @@ def evaluate_stage(cfg: PipelineConfig, test_pairs, state: AlignmentState,
 
 
 def read_gold(paths: BenchmarkPaths, configs, graphs, seed: int):
-    """{seed fraction: (seed pairs, test pairs)} of the gold entity pairs,
-    split once for each distinct fraction of `configs`, and the gold
-    lexeme pairs if one of `configs` uses the seed lexicon (else none).
-    Each split's pairs must name entities of `graphs`, the source and
-    target KGs, each at most once a side.  Commands read them before their
-    first stage, so that a malformed line or an unknown entity stops them
-    before they write anything."""
+    """(seed pairs, test pairs) of the gold entity pairs, split at the seed
+    fraction that all `configs` share (no ablation changes it), and the
+    gold lexeme pairs if one of `configs` uses the seed lexicon (else
+    none).  The pairs must name entities of `graphs`, the source and
+    target KGs, each at most once a side."""
+    (fraction,) = {c.seed_fraction for c in configs}
     entities = alignment.load_seed_pairs(paths.gold_entities)
     known = tuple({ENTITY_PREFIX + e for e in graph.entities}
                   for graph in graphs)
-    splits = {}
-    for fraction in dict.fromkeys(c.seed_fraction for c in configs):
-        splits[fraction] = split_gold(entities, fraction, seed)
-        for kind, pairs in zip(("seed", "test"), splits[fraction]):
-            check_pairs(kind, pairs, known, paths.gold_entities)
+    split = split_gold(entities, fraction, seed)
+    for kind, pairs in zip(("seed", "test"), split):
+        check_pairs(kind, pairs, known, paths.gold_entities)
     if not any(c.use_seed_lexicon for c in configs):
-        return splits, []
-    return splits, alignment.load_lexicon(paths.gold_lexemes)
+        return split, []
+    return split, alignment.load_lexicon(paths.gold_lexemes)
+
+
+def _ground_and_train(configs, paths: BenchmarkPaths, seed: int, log):
+    """Everything `run` and `ablate` do before alignment: the checked gold
+    of `read_gold`, the grounded corpora of `ground_stage`, and
+    {optimizer config: (source space, target space)} of each distinct
+    optimizer config of `configs`.  The gold is read before the first
+    stage, so that a malformed line or an unknown entity stops the
+    command before it writes anything."""
+    graphs = (kg.load_kg(paths.src_triples, "src"),
+              kg.load_kg(paths.tgt_triples, "tgt"))
+    gold = read_gold(paths, configs, graphs, seed)
+    grounded = ground_stage(paths, graphs, log)
+    log("stage train: joint KG+text embedding learning")
+    spaces = train_spaces(dict.fromkeys(c.optimizer for c in configs),
+                          grounded, seed)
+    return gold, grounded, spaces
 
 
 def _align_and_evaluate(cfg, gold, grounded, spaces, out: Path,
                         log) -> EvalReport:
     """Write the grounded corpora and the spaces to `out`, then align the
     `.vec` files written, as `kgalign align` does, on the seed pairs of
-    `cfg`'s `read_gold` split, and evaluate on its test pairs."""
+    the `read_gold` split, and evaluate on its test pairs."""
     out.mkdir(parents=True, exist_ok=True)
     for side, (_, corpus), space in zip(("src", "tgt"), grounded, spaces):
         grounding.write_grounded(corpus, out / f"{side}.grounded")
         embedding.write_embeddings(space, out / f"{side}_emb")
-    splits, gold_lexemes = gold
-    seed_pairs, test_pairs = splits[cfg.seed_fraction]
+    (seed_pairs, test_pairs), gold_lexemes = gold
     state = align_stage(cfg, AlignmentSpace.from_file(out / "src_emb.vec"),
                         AlignmentSpace.from_file(out / "tgt_emb.vec"),
                         seed_pairs, gold_lexemes,
@@ -221,13 +227,9 @@ def _align_and_evaluate(cfg, gold, grounded, spaces, out: Path,
 
 def run_pipeline(cfg: PipelineConfig, paths: BenchmarkPaths, out_dir,
                  seed: int, log=_quiet) -> PipelineResult:
-    graphs = load_graphs(paths)
-    gold = read_gold(paths, [cfg], graphs, seed)
-    grounded = ground_stage(paths, graphs, log)
-    log(TRAIN_MESSAGE)
-    spaces = train_spaces([cfg.optimizer], grounded, seed)[cfg.optimizer]
+    gold, grounded, spaces = _ground_and_train([cfg], paths, seed, log)
     return PipelineResult(_align_and_evaluate(
-        cfg, gold, grounded, spaces, Path(out_dir), log))
+        cfg, gold, grounded, spaces[cfg.optimizer], Path(out_dir), log))
 
 
 # name -> (flag that switches it on in `kgalign run`, or None,
@@ -257,24 +259,16 @@ def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
                       log=_quiet) -> dict[str, EvalReport]:
     """Each ablation's run in its own directory under `out_dir`.  The
     corpora are grounded once, and each distinct optimizer config is
-    trained once, all of them at once before any setting is aligned; the
-    log names the train stage where a setting first needs it."""
+    trained once, all of them before any setting is aligned."""
     configs = {name: ablation_config(base, name)
                for name in (ABLATIONS if names is None else names)}
     if not configs:
         raise ConfigError("no ablation setting to run")
-    graphs = load_graphs(paths)
-    gold = read_gold(paths, configs.values(), graphs, seed)
-    grounded = ground_stage(paths, graphs, log)
-    spaces = train_spaces(dict.fromkeys(c.optimizer for c in configs.values()),
-                          grounded, seed)
-    announced = set()
+    gold, grounded, spaces = _ground_and_train(list(configs.values()),
+                                               paths, seed, log)
     reports = {}
     for name, cfg in configs.items():
         log(f"== ablation: {name} ==")
-        if cfg.optimizer not in announced:
-            announced.add(cfg.optimizer)
-            log(TRAIN_MESSAGE)
         reports[name] = _align_and_evaluate(
             cfg, gold, grounded, spaces[cfg.optimizer], Path(out_dir) / name,
             log)

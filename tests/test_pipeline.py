@@ -478,6 +478,32 @@ class TestCli:
             assert (tmp_path / name).read_bytes() == \
                 (run_dir / name).read_bytes(), name
 
+    def stage_lines(self, bench, tmp_path, *args):
+        """The lines of `kgalign <args>`'s output that name a stage or an
+        ablation setting."""
+        cfg_file = tmp_path / "quick.cfg"
+        cfg_file.write_text("dim = 8\nepochs = 40\nbatch_size = 32\n"
+                            "min_freq = 1\n")
+        res = CliRunner().invoke(cli, [str(a) for a in [
+            *args, "--bench", bench.gold_entities.parent,
+            "--out", tmp_path / "out", "--config", cfg_file]])
+        assert res.exit_code == 0, res.output
+        return [line.split(":")[0] for line in res.output.splitlines()
+                if line.startswith(("stage ", "== ablation"))]
+
+    def test_run_logs_each_stage_once_in_order(self, bench, tmp_path):
+        assert self.stage_lines(bench, tmp_path, "run") == [
+            "stage ground", "stage train", "stage align", "stage eval"]
+
+    def test_ablate_logs_training_once_before_the_settings(self, bench,
+                                                           tmp_path):
+        """Every setting's spaces are trained before the first setting is
+        aligned, and the log says so where it happens."""
+        lines = self.stage_lines(bench, tmp_path, "ablate", "--settings",
+                                 "full,no_gcn,no_self_learning")
+        settings = ["== ablation", "stage align", "stage eval"]
+        assert lines == ["stage ground", "stage train", *settings * 3]
+
     def test_each_pair_list_is_checked_once(self, bench, tmp_path,
                                             monkeypatch):
         """`run` and `ablate` check the seed and the test pairs of their
