@@ -99,12 +99,14 @@ def procrustes_solve(pairs_x: np.ndarray, pairs_y: np.ndarray) -> np.ndarray:
     """Orthogonal M minimizing sum ||M x - y||^2 via SVD of X^T Y.
 
     Rows are unit-normalized internally; M = V U^T for U S V^T = svd(X^T Y).
+    X^T Y is summed by einsum, not BLAS, whose rounding changes with its
+    thread count.
     """
     if len(pairs_x) == 0:
         raise ValueError("need at least one pair")
     x = unit_rows(np.atleast_2d(pairs_x))
     y = unit_rows(np.atleast_2d(pairs_y))
-    u, s, vt = np.linalg.svd(x.T @ y)
+    u, s, vt = np.linalg.svd(np.einsum("ni,nj->ij", x, y))
     if np.any(s < 1e-12 * max(s[0], 1.0)):
         warnings.warn("rank-deficient Procrustes system; minimizer is "
                       "not unique", RuntimeWarning, stacklevel=2)

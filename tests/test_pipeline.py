@@ -3,13 +3,17 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import kgalign
 from kgalign import alignment, embedding, pipeline
 from kgalign.cli import cli
 from kgalign.config import ConfigError, OptimizerConfig, PipelineConfig
@@ -87,6 +91,30 @@ def built_config(command, tmp_path, monkeypatch, *options):
 ARTIFACTS = ("src.grounded", "tgt.grounded", "src_emb.vec", "src_emb.rel.vec",
              "tgt_emb.vec", "tgt_emb.rel.vec", "alignment_state.json",
              "report.tsv")
+
+
+def planted_inputs(out, seed=0, n_ent=3000, n_lex=2000, dim=32):
+    """`.vec` files of a source space and of a noisy rotated copy of it,
+    with 30% of the entity pairs as seed pairs and the rest as test
+    pairs: inputs the size of the benchmark's align-planted workload."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    src = rng.normal(size=(n_ent + n_lex, dim))
+    tgt = src @ (q * np.sign(np.diag(r))).T + 1.2 * rng.normal(size=src.shape)
+    for side, ent, lex, mat in (("src", "a", "sw", src),
+                                ("tgt", "b", "tw", tgt)):
+        names = ([f"@ent:{ent}{i}" for i in range(n_ent)]
+                 + [f"{lex}{j}" for j in range(n_lex)])
+        with open(out / f"{side}.vec", "w", encoding="utf-8") as fh:
+            fh.write(f"{len(names)} {dim}\n")
+            fh.writelines(name + " " + " ".join(map(repr, row)) + "\n"
+                          for name, row in zip(names, mat.tolist()))
+    order = rng.permutation(n_ent)
+    n_seed = round(0.3 * n_ent)
+    for name, idx in (("seed.tsv", order[:n_seed]),
+                      ("test.tsv", order[n_seed:])):
+        (out / name).write_text("".join(f"a{i}\tb{i}\n" for i in idx),
+                                encoding="utf-8")
 
 
 def quick_config(**overrides):
@@ -503,6 +531,41 @@ class TestCli:
                                  "full,no_gcn,no_self_learning")
         settings = ["== ablation", "stage align", "stage eval"]
         assert lines == ["stage ground", "stage train", *settings * 3]
+
+    def test_align_and_eval_bytes_do_not_depend_on_blas_threads(
+            self, tmp_path):
+        """`align` then `eval` write the same files and print the same
+        lines with one OpenBLAS thread and with two."""
+        planted_inputs(tmp_path)
+        src_dir = Path(kgalign.__file__).resolve().parents[1]
+        digests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [str(src_dir), os.environ.get("PYTHONPATH", "")])}
+            printed = b""
+            for args in (
+                    ["align", "--src-emb", tmp_path / "src",
+                     "--tgt-emb", tmp_path / "tgt",
+                     "--seed-entities", tmp_path / "seed.tsv",
+                     "--out", out / "alignment_state.json"],
+                    ["eval", "--state", out / "alignment_state.json",
+                     "--test", tmp_path / "test.tsv", "--candidates", "all",
+                     "--out", out / "report.tsv"]):
+                res = subprocess.run(
+                    [sys.executable, "-m", "kgalign.cli", *map(str, args)],
+                    env=env, capture_output=True, timeout=120)
+                assert res.returncode == 0, res.stderr.decode()
+                printed += res.stdout
+            digests[threads] = {
+                name: hashlib.sha256(data).hexdigest() for name, data in (
+                    ("stdout", printed),
+                    *((p.name, p.read_bytes()) for p in sorted(out.iterdir())))}
+        assert set(digests["1"]) == {"stdout", "alignment_state.json",
+                                     "report.tsv"}
+        assert digests["1"] == digests["2"]
 
     def test_each_pair_list_is_checked_once(self, bench, tmp_path,
                                             monkeypatch):
