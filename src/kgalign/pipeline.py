@@ -1,7 +1,9 @@
 """End-to-end orchestration in four stages: ground -> train -> align ->
-evaluate.  `kgalign align` and `kgalign eval` run the last two alone.
+evaluate.  `kgalign run` and `kgalign ablate` share one function for
+the first two; `kgalign align` and `kgalign eval` run the last two alone.
 A run directory holds the artifacts of every stage; identical config and
-seed reproduce identical files.
+seed reproduce identical files on one numpy and BLAS build, at one and
+at two OpenBLAS threads (higher counts are untested).
 """
 
 from __future__ import annotations
@@ -192,12 +194,10 @@ def read_gold(paths: BenchmarkPaths, configs, graphs, seed: int):
 
 
 def _ground_and_train(configs, paths: BenchmarkPaths, seed: int, log):
-    """Everything `run` and `ablate` do before alignment: the checked gold
-    of `read_gold`, the grounded corpora of `ground_stage`, and
-    {optimizer config: (source space, target space)} of each distinct
-    optimizer config of `configs`.  The gold is read before the first
-    stage, so that a malformed line or an unknown entity stops the
-    command before it writes anything."""
+    """What `run` and `ablate` do before alignment: the `read_gold` gold,
+    read first so that a bad line stops them before they write anything,
+    the grounded corpora, and {optimizer config: (source space, target
+    space)} of each distinct optimizer config of `configs`."""
     graphs = (kg.load_kg(paths.src_triples, "src"),
               kg.load_kg(paths.tgt_triples, "tgt"))
     gold = read_gold(paths, configs, graphs, seed)
