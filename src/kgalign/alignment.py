@@ -234,20 +234,22 @@ def _candidate_indices(space: AlignmentSpace, aligned_ids: list[str],
     return np.flatnonzero(keep)
 
 
-def propose_pairs(state: AlignmentState,
-                  q: NeighborQuery) -> list[tuple[str, str, bool]]:
-    """Mutual 1-NN proposals; returns (source item, target item, is_entity).
+def propose_pairs(state: AlignmentState, q: NeighborQuery
+                  ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """Mutual 1-NN proposals: (entity id pairs, lexeme pairs), each in
+    ascending source row.
 
     Candidates exclude already-aligned entities on both sides; lexemes are
     limited to the top-F frequency cutoff.  A mutual pair survives only if
     both items have the same type; existing lexeme pairs are not re-proposed.
     """
-    src_idx = _candidate_indices(state.source, [s for s, _ in state.ent_pairs],
+    src, tgt = state.source, state.target
+    src_idx = _candidate_indices(src, [s for s, _ in state.ent_pairs],
                                  state.lexeme_top_f)
-    tgt_idx = _candidate_indices(state.target, [t for _, t in state.ent_pairs],
+    tgt_idx = _candidate_indices(tgt, [t for _, t in state.ent_pairs],
                                  state.lexeme_top_f)
     if len(src_idx) == 0 or len(tgt_idx) == 0:
-        return []
+        return [], []
     nn_of_src = np.empty(len(src_idx), dtype=np.int64)
     # column argmax over the blocks: a later block takes a column only on a
     # strictly larger score, so ties go to the lower row, as in one block.
@@ -257,9 +259,8 @@ def propose_pairs(state: AlignmentState,
     best = np.full(len(tgt_idx), -np.inf)
     # the mapped and gathered rows are passed without a name, so each is
     # freed as the scorer makes its unit-row copy
-    for rows, scores in _score_blocks(
-            state.source.vectors[src_idx] @ state.transform.T,
-            state.target.vectors[tgt_idx], q):
+    for rows, scores in _score_blocks(src.vectors[src_idx] @ state.transform.T,
+                                      tgt.vectors[tgt_idx], q):
         nn_of_src[rows] = scores.argmax(axis=1)
         block_best = scores.max(axis=0)
         block_nn = (scores == block_best).argmax(axis=0)
@@ -267,24 +268,16 @@ def propose_pairs(state: AlignmentState,
         best[wins] = block_best[wins]
         nn_of_tgt[wins] = rows.start + block_nn[wins]
 
-    existing_lex = set(state.lex_pairs)
-    proposals = []
-    for i, j in enumerate(nn_of_src):
-        if nn_of_tgt[j] != i:
-            continue
-        si, ti = src_idx[i], tgt_idx[int(j)]
-        s_ent = bool(state.source.entity_mask[si])
-        t_ent = bool(state.target.entity_mask[ti])
-        if s_ent != t_ent:
-            continue
-        s_item = state.source.items[si]
-        t_item = state.target.items[ti]
-        if s_ent:
-            proposals.append((s_item[len(ENTITY_PREFIX):],
-                              t_item[len(ENTITY_PREFIX):], True))
-        elif (s_item, t_item) not in existing_lex:
-            proposals.append((s_item, t_item, False))
-    return proposals
+    mutual = nn_of_tgt[nn_of_src] == np.arange(len(src_idx))
+    s_rows, t_rows = src_idx[mutual], tgt_idx[nn_of_src[mutual]]
+    s_ent, t_ent = src.entity_mask[s_rows], tgt.entity_mask[t_rows]
+    cut = len(ENTITY_PREFIX)
+    ent = [(src.items[s][cut:], tgt.items[t][cut:])
+           for s, t in zip(s_rows[s_ent & t_ent], t_rows[s_ent & t_ent])]
+    lex = [(src.items[s], tgt.items[t])
+           for s, t in zip(s_rows[~(s_ent | t_ent)], t_rows[~(s_ent | t_ent)])]
+    existing = set(state.lex_pairs)
+    return ent, [p for p in lex if p not in existing]
 
 
 def self_learn(state: AlignmentState, q: NeighborQuery,
@@ -306,17 +299,12 @@ def self_learn(state: AlignmentState, q: NeighborQuery,
     while state.iteration < max_iterations:
         x, y = state.pair_matrices()
         state.transform = procrustes_solve(x, y)
-        proposals = propose_pairs(state, q)
-        n_ent = 0
-        for s, t, is_ent in proposals:
-            if is_ent:
-                state.ent_pairs.append((s, t))
-                n_ent += 1
-            else:
-                state.lex_pairs.append((s, t))
-        state.proposal_counts.append(n_ent)
+        ent, lex = propose_pairs(state, q)
+        state.ent_pairs.extend(ent)
+        state.lex_pairs.extend(lex)
+        state.proposal_counts.append(len(ent))
         state.iteration += 1
-        if n_ent < threshold:
+        if len(ent) < threshold:
             break
     return state
 

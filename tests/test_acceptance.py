@@ -196,7 +196,7 @@ def test_criterion_4_mutual_nn_soundness():
         while shadow.iteration < cap:
             x, y = shadow.pair_matrices()
             shadow.transform = procrustes_solve(x, y)
-            proposals = propose_pairs(shadow, q)
+            ent_props, lex_props = propose_pairs(shadow, q)
 
             src_idx = _oracle_candidates(shadow.source,
                                          {s for s, _ in shadow.ent_pairs},
@@ -208,7 +208,7 @@ def test_criterion_4_mutual_nn_soundness():
                       for i in src_idx]
             scores = brute_csls(mapped, [shadow.target.vectors[j]
                                          for j in tgt_idx], q.csls_k)
-            expected = set()
+            expected_ent, expected_lex = set(), set()
             for i, j in brute_mutual_nn(scores):
                 si, ti = src_idx[i], tgt_idx[j]
                 s_ent = bool(shadow.source.entity_mask[si])
@@ -217,14 +217,14 @@ def test_criterion_4_mutual_nn_soundness():
                 s_item = shadow.source.items[si]
                 t_item = shadow.target.items[ti]
                 if s_ent:
-                    expected.add((s_item[len("@ent:"):],
-                                  t_item[len("@ent:"):], True))
+                    expected_ent.add((s_item[len("@ent:"):],
+                                      t_item[len("@ent:"):]))
                 elif (s_item, t_item) not in set(shadow.lex_pairs):
-                    expected.add((s_item, t_item, False))
-            assert set(proposals) == expected
+                    expected_lex.add((s_item, t_item))
+            assert set(ent_props) == expected_ent
+            assert set(lex_props) == expected_lex
 
             # 1-to-1 / novelty checks
-            ent_props = [(s, t) for s, t, is_e in proposals if is_e]
             assert len({s for s, _ in ent_props}) == len(ent_props)
             assert len({t for _, t in ent_props}) == len(ent_props)
             aligned_s = {s for s, _ in shadow.ent_pairs}
@@ -232,16 +232,11 @@ def test_criterion_4_mutual_nn_soundness():
             assert not {s for s, _ in ent_props} & aligned_s
             assert not {t for _, t in ent_props} & aligned_t
 
-            n_new = 0
-            for s, t, is_e in proposals:
-                if is_e:
-                    shadow.ent_pairs.append((s, t))
-                    n_new += 1
-                else:
-                    shadow.lex_pairs.append((s, t))
-            shadow.proposal_counts.append(n_new)
+            shadow.ent_pairs.extend(ent_props)
+            shadow.lex_pairs.extend(lex_props)
+            shadow.proposal_counts.append(len(ent_props))
             shadow.iteration += 1
-            if n_new < threshold:
+            if len(ent_props) < threshold:
                 break
 
         result = self_learn(state, q, stop_fraction=stop_fraction,

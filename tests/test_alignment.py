@@ -272,7 +272,7 @@ class TestBlocks:
         one = propose_pairs(state, q)
         monkeypatch.setattr(alignment, "BLOCK_CELLS", SMALL_BLOCK)
         assert propose_pairs(state, q) == one
-        assert len(one) > 100
+        assert len(one[0]) + len(one[1]) > 100
 
     @pytest.mark.parametrize("block_cells", [6, 24, 42])
     @pytest.mark.parametrize("q", [csls(2), NeighborQuery(metric="l2")],
@@ -287,7 +287,8 @@ class TestBlocks:
                                target=space_from(ent), ent_pairs=[])
         state.transform = np.eye(4)
         monkeypatch.setattr(alignment, "BLOCK_CELLS", block_cells)
-        props = {(s, t) for s, t, _ in propose_pairs(state, q)}
+        ent, lex = propose_pairs(state, q)
+        props = set(ent + lex)
         assert ("e0", "e0") in props
         assert all(s != "e6" for s, _ in props)
 
@@ -315,9 +316,10 @@ class TestProposePairs:
         src = space_from(ent, lex)
         tgt = space_from(ent, lex)
         state = self.make_state(src, tgt)
-        props = propose_pairs(state, NeighborQuery(metric="csls", csls_k=2))
-        assert len(props) == 8
-        for s, t, _ in props:
+        ent_props, lex_props = propose_pairs(
+            state, NeighborQuery(metric="csls", csls_k=2))
+        assert len(ent_props) == 5 and len(lex_props) == 3
+        for s, t in ent_props + lex_props:
             assert s == t
 
     def test_aligned_entities_never_reproposed(self):
@@ -327,8 +329,8 @@ class TestProposePairs:
         tgt = space_from(ent)
         state = self.make_state(src, tgt, ent_pairs=[("e0", "e0"),
                                                      ("e1", "e1")])
-        props = propose_pairs(state, NeighborQuery(metric="l2"))
-        proposed_src = {s for s, _, _ in props}
+        ent, lex = propose_pairs(state, NeighborQuery(metric="l2"))
+        proposed_src = {s for s, _ in ent + lex}
         assert proposed_src.isdisjoint({"e0", "e1"})
 
     def test_mutual_nn_matches_brute_force(self):
@@ -339,22 +341,22 @@ class TestProposePairs:
             q = NeighborQuery(metric="csls", csls_k=3)
             state = self.make_state(src, tgt,
                                     m=random_orthogonal(rng, 4))
-            props = propose_pairs(state, q)
+            ent, lex = propose_pairs(state, q)
             mapped = src.vectors @ state.transform.T
             expected = brute_mutual_nn(brute_csls(mapped, tgt.vectors,
                                                   q.csls_k))
             got = {(f"e{src.items.index('@ent:' + s)}",
                     f"e{tgt.items.index('@ent:' + t)}")
-                   for s, t, _ in props}
+                   for s, t in ent}
             assert {(f"e{i}", f"e{j}") for i, j in expected} == got
+            assert lex == []
 
     def test_type_mismatch_filtered(self):
         # source entity vector coincides with a target lexeme vector
         src = space_from([[1.0, 0.0]])
         tgt = space_from([[0.0, 1.0]], [[1.0, 0.0]])
         state = self.make_state(src, tgt)
-        props = propose_pairs(state, NeighborQuery(metric="l2"))
-        assert props == []
+        assert propose_pairs(state, NeighborQuery(metric="l2")) == ([], [])
 
     def test_lexeme_top_f_cutoff(self):
         rng = np.random.default_rng(9)
@@ -363,9 +365,8 @@ class TestProposePairs:
         tgt = space_from(rng.standard_normal((2, 3)), lex)
         state = self.make_state(src, tgt)
         state.lexeme_top_f = 2
-        props = propose_pairs(state, NeighborQuery(metric="l2"))
-        lex_props = {s for s, _, is_ent in props if not is_ent}
-        assert lex_props <= {"w0", "w1"}
+        _, lex = propose_pairs(state, NeighborQuery(metric="l2"))
+        assert {s for s, _ in lex} <= {"w0", "w1"}
 
 
 class TestSelfLearn:

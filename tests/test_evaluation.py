@@ -142,7 +142,7 @@ def test_scoring_leaves_caller_arrays_unchanged(monkeypatch, q):
     stacked(infer_batch([s for s, _ in test], state, q,
                         np.flatnonzero(tgt.entity_mask)))
     evaluate(test, state, q, candidate_mode="all")
-    assert propose_pairs(state, q)
+    assert propose_pairs(state, q)[0]
     self_learn(state, q)
     assert state.iteration > 0
     assert [a.tobytes() for a in held] == before
