@@ -271,11 +271,12 @@ def propose_pairs(state: AlignmentState, q: NeighborQuery
     mutual = nn_of_tgt[nn_of_src] == np.arange(len(src_idx))
     s_rows, t_rows = src_idx[mutual], tgt_idx[nn_of_src[mutual]]
     s_ent, t_ent = src.entity_mask[s_rows], tgt.entity_mask[t_rows]
+    both, neither = s_ent & t_ent, ~(s_ent | t_ent)
     cut = len(ENTITY_PREFIX)
     ent = [(src.items[s][cut:], tgt.items[t][cut:])
-           for s, t in zip(s_rows[s_ent & t_ent], t_rows[s_ent & t_ent])]
+           for s, t in zip(s_rows[both], t_rows[both])]
     lex = [(src.items[s], tgt.items[t])
-           for s, t in zip(s_rows[~(s_ent | t_ent)], t_rows[~(s_ent | t_ent)])]
+           for s, t in zip(s_rows[neither], t_rows[neither])]
     existing = set(state.lex_pairs)
     return ent, [p for p in lex if p not in existing]
 
@@ -430,9 +431,35 @@ def _space_of(side: str, payload) -> AlignmentSpace:
     raise ValueError(f"{side} {problem}")
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0     # JSON true is no number
+
+
+def _is_pair(value) -> bool:
+    return (type(value) is list and len(value) == 2
+            and all(type(item) is str for item in value))
+
+
+def _list_of(test):
+    return lambda value: type(value) is list and all(map(test, value))
+
+
+# each field of a state that is not an array: a test of its value, and
+# what the test asks for
+_STATE_FIELDS = {
+    "ent_pairs": (_list_of(_is_pair), "a list of pairs of strings"),
+    "lex_pairs": (_list_of(_is_pair), "a list of pairs of strings"),
+    "iteration": (_is_count, "a non-negative integer"),
+    "lexeme_top_f": (_is_count, "a non-negative integer"),
+    "proposal_counts": (_list_of(_is_count),
+                        "a list of non-negative integers"),
+}
+
+
 def load_state(path) -> AlignmentState:
     """The state saved by `save_state`; a malformed file raises a
-    ValueError that names it."""
+    ValueError that names it.  Its entity pairs are checked as seed pairs
+    are, and each item of a lexeme pair must be a lexeme of its side."""
     with open_text(path) as fh:
         text = fh.read()             # the file's bytes go when it closes
     try:
@@ -441,6 +468,10 @@ def load_state(path) -> AlignmentState:
         raise ValueError(f"{path}: not a JSON state file: {exc}") from None
     del text
     try:
+        for key, (ok, what) in _STATE_FIELDS.items():
+            if not ok(data[key]):
+                raise ValueError(f"{key} must be {what}, "
+                                 f"not {_dumps(data[key]):.40}")
         state = AlignmentState(
             source=_space_of("source", data["source"]),
             target=_space_of("target", data["target"]),
@@ -448,7 +479,7 @@ def load_state(path) -> AlignmentState:
             lex_pairs=[tuple(p) for p in data["lex_pairs"]],
             transform=_float_array(data.get("transform"), "transform"),
             iteration=data["iteration"],
-            proposal_counts=list(data["proposal_counts"]),
+            proposal_counts=data["proposal_counts"],
             lexeme_top_f=data["lexeme_top_f"],
         )
     except (KeyError, TypeError, OverflowError) as exc:
@@ -465,11 +496,40 @@ def load_state(path) -> AlignmentState:
     if not np.isfinite(state.transform).all():
         raise ValueError(f"{path}: malformed state file: transform has a "
                          "non-finite value")
+    sides = (state.source, state.target)
+    check_pairs("entity", state.ent_pairs, [s.index for s in sides], path)
+    for pair in state.lex_pairs:
+        for side, space, item in zip(("source", "target"), sides, pair):
+            if item not in space.index or item.startswith(ENTITY_PREFIX):
+                raise ValueError(f"{path}: lexeme pair {pair[0]}\t{pair[1]}: "
+                                 f"{side} item {item!r} is not a lexeme of "
+                                 "the state")
     return state
 
 
 def load_seed_pairs(path) -> list[tuple[str, str]]:
     return [(s, t) for _, (s, t) in read_fields(path, "source<TAB>target")]
+
+
+def check_pairs(kind: str, pairs, known, path) -> None:
+    """Seed, test or state entity pairs, at least one, name entities of
+    `known`, the (source, target) collections of entity items
+    (`@ent:<id>`), each at most once a side."""
+    if not pairs:
+        raise ValueError(f"{path}: no {kind} pairs")
+    used = (set(), set())
+    for pair in pairs:
+        for side, items, entity, seen in zip(("source", "target"), known,
+                                             pair, used):
+            if ENTITY_PREFIX + entity not in items:
+                problem = "is unknown"
+            elif entity in seen:
+                problem = "is used twice"
+            else:
+                seen.add(entity)
+                continue
+            raise ValueError(f"{path}: {kind} pair {pair[0]}\t{pair[1]}: "
+                             f"{side} entity {entity!r} {problem}")
 
 
 def load_lexicon(path) -> list[tuple[str, str]]:

@@ -146,8 +146,8 @@ def align_cmd(src_emb, tgt_emb, seed_entities, seed_lexicon, out_path,
     if widths[0] != widths[1]:
         raise ValueError(f"{src_emb}.vec and {tgt_emb}.vec differ in width: "
                          f"{widths[0]} and {widths[1]} values a row")
-    pipeline.check_pairs("seed", seed_pairs, (source.index, target.index),
-                         seed_entities)
+    alignment.check_pairs("seed", seed_pairs,
+                          (source.index, target.index), seed_entities)
     state = pipeline.align_stage(cfg, source, target, seed_pairs, lexicon,
                                  out_path)
     click.echo(f"iterations\t{state.iteration}")
@@ -168,8 +168,8 @@ def eval_cmd(state_path, test_path, out_path, **options):
     cfg = _pipeline_config(**options)
     state = alignment.load_state(state_path)
     test_pairs = alignment.load_seed_pairs(test_path)
-    pipeline.check_pairs("test", test_pairs,
-                         (state.source.index, state.target.index), test_path)
+    alignment.check_pairs("test", test_pairs,
+                          (state.source.index, state.target.index), test_path)
     report = pipeline.evaluate_stage(cfg, test_pairs, state, out_path)
     for line in report.lines():
         click.echo(line)

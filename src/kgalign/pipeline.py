@@ -115,27 +115,6 @@ def train_spaces(optimizers, grounded, seed: int):
     return dict(zip(optimizers, zip(spaces[0::2], spaces[1::2])))
 
 
-def check_pairs(kind: str, pairs, known, path) -> None:
-    """Seed or test entity pairs, at least one, name entities of `known`,
-    the (source, target) collections of entity items (`@ent:<id>`), each
-    at most once a side."""
-    if not pairs:
-        raise ValueError(f"{path}: no {kind} pairs")
-    used = (set(), set())
-    for pair in pairs:
-        for side, items, entity, seen in zip(("source", "target"), known,
-                                             pair, used):
-            if ENTITY_PREFIX + entity not in items:
-                problem = "is unknown"
-            elif entity in seen:
-                problem = "is used twice"
-            else:
-                seen.add(entity)
-                continue
-            raise ValueError(f"{path}: {kind} pair {pair[0]}\t{pair[1]}: "
-                             f"{side} entity {entity!r} {problem}")
-
-
 def align_stage(cfg: PipelineConfig, source: AlignmentSpace,
                 target: AlignmentSpace, seed_pairs, lexicon_pairs,
                 state_path, log=_quiet) -> AlignmentState:
@@ -187,7 +166,7 @@ def read_gold(paths: BenchmarkPaths, configs, graphs, seed: int):
                   for graph in graphs)
     split = split_gold(entities, fraction, seed)
     for kind, pairs in zip(("seed", "test"), split):
-        check_pairs(kind, pairs, known, paths.gold_entities)
+        alignment.check_pairs(kind, pairs, known, paths.gold_entities)
     if not any(c.use_seed_lexicon for c in configs):
         return split, []
     return split, alignment.load_lexicon(paths.gold_lexemes)

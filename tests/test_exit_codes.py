@@ -324,6 +324,65 @@ CASES = {
         + ["--metric", "l2"],
         1, "saved.json: malformed state file: target vector of 'w1' has zero "
         "norm"),
+    # the pairs and counters of a state are checked as they are read
+    "eval-state-entity-pair-of-three": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(ent_pairs=[[1, 2, 3]]))),
+        1, "saved.json: malformed state file: ent_pairs must be a list of "
+        "pairs of strings, not [[1,2,3]]"),
+    "eval-state-entity-pair-unknown": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["ent_pairs"].append(["e1", "zz"]))),
+        1, "saved.json: entity pair e1\tzz: target entity 'zz' is unknown"),
+    "eval-state-entity-pair-twice": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d["ent_pairs"].append(["e0", "e1"]))),
+        1, "saved.json: entity pair e0\te1: source entity 'e0' is used "
+        "twice"),
+    "eval-state-no-entity-pairs": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(ent_pairs=[]))),
+        1, "saved.json: no entity pairs"),
+    "eval-state-lexeme-pair-null": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(lex_pairs=[[None, 3]]))),
+        1, "saved.json: malformed state file: lex_pairs must be a list of "
+        "pairs of strings, not [[null,3]]"),
+    "eval-state-lexeme-pair-entity": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(lex_pairs=[["w0", "w0"], ["@ent:e1", "w1"]]))),
+        1, "saved.json: lexeme pair @ent:e1\tw1: source item '@ent:e1' is "
+        "not a lexeme of the state"),
+    "eval-state-lexeme-pair-unknown": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(lex_pairs=[["w0", "zz"]]))),
+        1, "saved.json: lexeme pair w0\tzz: target item 'zz' is not a "
+        "lexeme of the state"),
+    "eval-state-iteration-string": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(iteration="x"))),
+        1, "saved.json: malformed state file: iteration must be a "
+        'non-negative integer, not "x"'),
+    "eval-state-iteration-boolean": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(iteration=True))),
+        1, "saved.json: malformed state file: iteration must be a "
+        "non-negative integer, not true"),
+    "eval-state-top-f-negative": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(lexeme_top_f=-5))),
+        1, "saved.json: malformed state file: lexeme_top_f must be a "
+        "non-negative integer, not -5"),
+    "eval-state-top-f-fraction": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(lexeme_top_f=2.5))),
+        1, "saved.json: malformed state file: lexeme_top_f must be a "
+        "non-negative integer, not 2.5"),
+    "eval-state-proposal-counts-not-numbers": (
+        lambda p, mp: eval_inputs(p, edit_json(
+            lambda d: d.update(proposal_counts=[True, "a"]))),
+        1, "saved.json: malformed state file: proposal_counts must be a list "
+        'of non-negative integers, not [true,"a"]'),
     # test pairs follow the rule of seed pairs
     "eval-test-unknown-source": (
         lambda p, mp: eval_inputs(p, lambda text: text, test="zz\te3\n"), 1,

@@ -3,6 +3,7 @@ consistent result or raises a ValueError that names the file, no text
 makes a loader run long, and every loader names the file and line of a
 byte that is not UTF-8."""
 
+import copy
 import io
 import json
 from unittest.mock import patch
@@ -127,12 +128,22 @@ def test_build_index_loads_or_names_the_file(tmp_path_factory, text):
                for depth, ent in trie_entries(index.root))
 
 
-def apply_edit(data, kind, side, i, j, value):
-    """Edit `kind` of one side of a parsed state file at the positions `i`
-    and `j`, taken modulo the length.  A renamed item becomes `value`; a
+def apply_edit(data, kind, key, i, j, value):
+    """Edit `kind` of `key` of a parsed state file at the positions `i` and
+    `j`, taken modulo the length.
+
+    On a side (`source` or `target`): a renamed item becomes `value`; a
     non-finite cell is `value` if that is "inf" or "-inf", else nan; a
-    zeroed row keeps its width; a boolean cell is true for odd `j`."""
-    items, rows = data[side]["items"], data[side]["vectors"]
+    zeroed row keeps its width; a boolean cell is true for odd `j`.
+
+    On another field: "drop" deletes entry `i` of a list, or the field;
+    "duplicate" inserts a copy of entry `j` at `i`; "rename" sets item `j`
+    of pair `i` to `value`, or a counter to `j` - 10; "retype" sets entry
+    `i` (for odd `j`) or the whole field to `value`."""
+    if key not in ("source", "target"):
+        apply_field_edit(data, kind, key, i, j, value)
+        return
+    items, rows = data[key]["items"], data[key]["vectors"]
     if kind == "drop-item" and items:
         del items[i % len(items)]
     elif kind == "duplicate-item" and items:
@@ -157,15 +168,53 @@ def apply_edit(data, kind, side, i, j, value):
         row[j % len(row)] = bool(j % 2)
 
 
-EDITS = st.lists(st.tuples(
+def apply_field_edit(data, kind, key, i, j, value):
+    """The `apply_edit` of a field that is not a side."""
+    if key not in data:
+        return
+    entries = data[key] if type(data[key]) is list else None
+    if kind == "drop":
+        if entries is None:
+            del data[key]
+        elif entries:
+            del entries[i % len(entries)]
+    elif kind == "duplicate" and entries:
+        entries.insert(i % (len(entries) + 1),
+                       copy.deepcopy(entries[j % len(entries)]))
+    elif kind == "rename":
+        if entries is None:
+            data[key] = j - 10
+        elif entries and key == "proposal_counts":
+            entries[i % len(entries)] = j - 10
+        elif entries and type(entries[i % len(entries)]) is list:
+            pair = entries[i % len(entries)]
+            if pair:
+                pair[j % len(pair)] = value
+    elif kind == "retype":
+        if entries and j % 2:
+            entries[i % len(entries)] = value
+        else:
+            data[key] = value
+
+
+SIDE_EDITS = st.tuples(
     st.sampled_from(["drop-item", "duplicate-item", "rename-item", "add-row",
                      "drop-row", "shorten-row", "non-finite", "zero-row",
                      "boolean"]),
     st.sampled_from(["source", "target"]), st.integers(0, 20),
     st.integers(0, 20),
     st.one_of(st.sampled_from(["inf", "-inf", "@ent:e0", "w0", "", None]),
-              st.text(max_size=3))),
-    min_size=1, max_size=4)
+              st.text(max_size=3)))
+FIELD_EDITS = st.tuples(
+    st.sampled_from(["drop", "duplicate", "rename", "retype"]),
+    st.sampled_from(["ent_pairs", "lex_pairs", "iteration", "lexeme_top_f",
+                     "proposal_counts"]),
+    st.integers(0, 20), st.integers(0, 20),
+    st.one_of(st.sampled_from(["e0", "e1", "e5", "zz", "w0", "w1", "@ent:e0",
+                               "", None, True, 0, 3, -1, 2.5, [], ["e0"],
+                               ["e2", "e3"], ["w0", "w0", "w0"], {}]),
+              st.text(max_size=3)))
+EDITS = st.lists(st.one_of(SIDE_EDITS, FIELD_EDITS), min_size=1, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -177,7 +226,9 @@ def test_load_state_checks_each_side(tmp_path_factory, edits):
     save_state(AlignmentState(
         source=AlignmentSpace(items, rng.standard_normal((7, 3))),
         target=AlignmentSpace(items, rng.standard_normal((7, 3))),
-        ent_pairs=[("e0", "e0")], transform=np.eye(3)), path)
+        ent_pairs=[("e0", "e0"), ("e1", "e2")],
+        lex_pairs=[("w0", "w1"), ("w1", "w1")], transform=np.eye(3),
+        iteration=2, proposal_counts=[1, 0], lexeme_top_f=7), path)
     data = json.loads(path.read_text(encoding="utf-8"))
     for edit in edits:
         apply_edit(data, *edit)
@@ -196,6 +247,17 @@ def test_load_state_checks_each_side(tmp_path_factory, edits):
         assert len(set(space.items)) == len(space.items)
         assert np.isfinite(space.vectors).all()
         assert space.vectors.any(axis=1).all()
+    # the entity pairs are 1-to-1 over the sides' entities
+    assert state.ent_pairs
+    for ids, space in zip(zip(*state.ent_pairs), (state.source, state.target)):
+        assert len(set(ids)) == len(ids)
+        assert all(f"@ent:{e}" in space.index for e in ids)
+    # the lexeme pairs name lexemes, and the counters are counts
+    for pair in state.lex_pairs:
+        for item, space in zip(pair, (state.source, state.target)):
+            assert item in space.index and not item.startswith("@ent:")
+    assert all(type(n) is int and n >= 0 for n in (
+        state.iteration, state.lexeme_top_f, *state.proposal_counts))
 
 
 # line ends and marks that two readers could split or strip differently

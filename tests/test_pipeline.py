@@ -571,15 +571,16 @@ class TestCli:
                                             monkeypatch):
         """`run` and `ablate` check the seed and the test pairs of their
         one seed fraction once each, however many settings share it;
-        `align` checks its seed file once and `eval` its test file."""
+        `align` checks its seed file once, and `eval` the entity pairs of
+        its state and its test file."""
         kinds = []
-        check = pipeline.check_pairs
+        check = alignment.check_pairs
 
         def counting_check(kind, pairs, known, path):
             kinds.append(kind)
             check(kind, pairs, known, path)
 
-        monkeypatch.setattr(pipeline, "check_pairs", counting_check)
+        monkeypatch.setattr(alignment, "check_pairs", counting_check)
         cfg_file = tmp_path / "quick.cfg"
         cfg_file.write_text("dim = 8\nepochs = 40\nbatch_size = 32\n"
                             "min_freq = 1\n")
@@ -595,7 +596,7 @@ class TestCli:
               "--seed-entities", bench.gold_entities,
               "--out", tmp_path / "state.json"], ["seed"]),
             (["eval", "--state", tmp_path / "state.json",
-              "--test", bench.gold_entities], ["test"]),
+              "--test", bench.gold_entities], ["entity", "test"]),
         ]
         for args, expected in commands:
             kinds.clear()
