@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, NeighborQuery, open_text, read_fields
+from .config import NeighborQuery, PipelineConfig, open_text, read_fields
 from .embedding import read_embeddings
 from .grounding import ENTITY_PREFIX
 
@@ -51,14 +51,10 @@ class AlignmentSpace:
         return int(self.entity_mask.sum())
 
     def entity_rows(self, ids) -> np.ndarray:
-        """The row of each entity id; an id the space lacks raises
-        `KeyError: unknown entity id`."""
-        try:
-            return np.array([self.index[ENTITY_PREFIX + e] for e in ids],
-                            dtype=np.int64)
-        except KeyError as exc:
-            unknown = exc.args[0][len(ENTITY_PREFIX):]
-            raise KeyError(f"unknown entity id {unknown!r}") from None
+        """The row of each entity id; an id the space lacks raises a
+        KeyError of its `@ent:<id>` item."""
+        return np.array([self.index[ENTITY_PREFIX + e] for e in ids],
+                        dtype=np.int64)
 
     @classmethod
     def from_file(cls, path) -> "AlignmentSpace":
@@ -81,7 +77,7 @@ class AlignmentState:
     transform: np.ndarray | None = None
     iteration: int = 0
     proposal_counts: list[int] = field(default_factory=list)
-    lexeme_top_f: int = 10000
+    lexeme_top_f: int = PipelineConfig.lexeme_top_f
 
     def pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked (X, Y) vectors of all current pairs, entities + lexemes."""
@@ -282,20 +278,16 @@ def propose_pairs(state: AlignmentState, q: NeighborQuery
 
 
 def self_learn(state: AlignmentState, q: NeighborQuery,
-               stop_fraction: float = 0.01,
-               max_iterations: int = 50) -> AlignmentState:
+               stop_fraction: float = PipelineConfig.stop_fraction,
+               max_iterations: int = PipelineConfig.max_iterations
+               ) -> AlignmentState:
     """Iterate Procrustes solve + mutual-NN proposal until convergence.
 
     Stops when an iteration proposes fewer entity pairs than
     stop_fraction * |source entities| or the iteration cap is reached.
-    The pair set only grows; embeddings are never modified.
+    The pair set only grows; embeddings are never modified.  The
+    settings are those `PipelineConfig` checks.
     """
-    if max_iterations < 1:
-        raise ConfigError("max_iterations must be >= 1")
-    if not (0 < stop_fraction <= 1):
-        raise ConfigError("stop_fraction must lie in (0, 1]")
-    if not state.ent_pairs:
-        raise ValueError("self-learning requires a non-empty entity seed set")
     threshold = stop_fraction * state.source.n_entities
     while state.iteration < max_iterations:
         x, y = state.pair_matrices()
@@ -312,8 +304,6 @@ def self_learn(state: AlignmentState, q: NeighborQuery,
 
 def solve_once(state: AlignmentState) -> AlignmentState:
     """Single Procrustes solve on the seed pairs, no proposal loop."""
-    if not state.ent_pairs:
-        raise ValueError("alignment requires a non-empty entity seed set")
     x, y = state.pair_matrices()
     state.transform = procrustes_solve(x, y)
     state.iteration += 1

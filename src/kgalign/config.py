@@ -184,11 +184,13 @@ class PipelineConfig:
     """Full-pipeline settings: the training config plus the align and
     evaluate settings and ablation switches.  Every subcommand validates
     its settings here, and the CLI builds the option of each setting
-    declared with `_option` from its field."""
+    declared with `_option` from its field.  The align and evaluate
+    functions take their defaults from these fields, which take the
+    neighbor query's from NeighborQuery."""
 
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig.desk_scale)
-    metric: str = _option("csls", "--metric", METRICS)
-    csls_k: int = _option(10, "--csls-k")
+    metric: str = _option(NeighborQuery.metric, "--metric", METRICS)
+    csls_k: int = _option(NeighborQuery.csls_k, "--csls-k")
     stop_fraction: float = _option(0.01, "--stop-frac")
     max_iterations: int = _option(50, "--max-iterations")
     lexeme_top_f: int = _option(10000, "--top-f")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import AlignmentState, infer_batch
-from .config import NeighborQuery
+from .config import NeighborQuery, PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,23 @@ class EvalReport:
 
 
 def evaluate(test_pairs: list[tuple[str, str]], state: AlignmentState,
-             q: NeighborQuery, p: int = 10,
-             candidate_mode: str = "test") -> EvalReport:
+             q: NeighborQuery, p: int = PipelineConfig.eval_p,
+             candidate_mode: str = PipelineConfig.candidate_mode
+             ) -> EvalReport:
     """Rank the gold target of each test query among the candidate set.
+    The pairs are those `check_pairs` passed, the settings those
+    `PipelineConfig` checks.
 
     candidate_mode "test" ranks against the test pairs' gold targets only;
     "all" ranks against every target entity.  Candidates are ascending
     target rows, so ties break by target vocabulary index, matching
     inference.  A gold id the target lacks raises `KeyError`.
     """
-    if not test_pairs:
-        raise ValueError("empty test set")
     gold_rows = state.target.entity_rows([gold for _, gold in test_pairs])
     if candidate_mode == "all":
         candidates = np.flatnonzero(state.target.entity_mask)
-    elif candidate_mode == "test":
-        candidates = np.unique(gold_rows)
     else:
-        raise ValueError(f"unknown candidate mode {candidate_mode!r}")
+        candidates = np.unique(gold_rows)
 
     gold_cols = np.searchsorted(candidates, gold_rows)
     cols = np.arange(len(candidates))

@@ -86,8 +86,6 @@ class SurfaceFormIndex:
         return token.lower() if self.case_fold else token
 
     def insert(self, surface_tokens: list[str], entity_id: str) -> None:
-        if not surface_tokens:
-            raise ValueError("empty surface form")
         node = self.root
         for tok in surface_tokens:
             node = node.setdefault(self.normalize(tok), {})

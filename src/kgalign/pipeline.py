@@ -36,12 +36,11 @@ def _quiet(_msg: str) -> None:
 
 def split_gold(gold_pairs: list[tuple[str, str]], seed_fraction: float,
                seed: int) -> tuple[list, list]:
-    """Deterministic seed/test split of the gold entity alignment."""
+    """Deterministic seed/test split of the gold entity alignment; a
+    split with no seed or no test pair is left to `check_pairs`."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(gold_pairs))
     n_seed = max(1, int(round(seed_fraction * len(gold_pairs))))
-    if n_seed >= len(gold_pairs):
-        raise ConfigError("seed fraction leaves no test pairs")
     seed_pairs = [gold_pairs[i] for i in order[:n_seed]]
     test_pairs = [gold_pairs[i] for i in order[n_seed:]]
     return seed_pairs, test_pairs
@@ -236,13 +235,12 @@ def ablation_config(base: PipelineConfig, name: str) -> PipelineConfig:
 def run_ablation_grid(base: PipelineConfig, paths: BenchmarkPaths, out_dir,
                       seed: int, names=None,
                       log=_quiet) -> dict[str, EvalReport]:
-    """Each ablation's run in its own directory under `out_dir`.  The
-    corpora are grounded once, and each distinct optimizer config is
-    trained once, all of them before any setting is aligned."""
+    """Each ablation's run in its own directory under `out_dir`, of the
+    `names` if given, at least one (`kgalign ablate --settings` checks
+    that).  The corpora are grounded once, and each distinct optimizer
+    config is trained once, all of them before any setting is aligned."""
     configs = {name: ablation_config(base, name)
                for name in (ABLATIONS if names is None else names)}
-    if not configs:
-        raise ConfigError("no ablation setting to run")
     gold, grounded, spaces = _ground_and_train(list(configs.values()),
                                                paths, seed, log)
     reports = {}

@@ -174,6 +174,14 @@ def with_bad_gold(args, path):
     return with_gold_edit(args, path, 2, lambda line: line.split("\t")[0])
 
 
+def with_gold_head(args, path, n_lines):
+    """`args`, after the gold file `path` is cut to its first `n_lines`
+    lines."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:n_lines]), encoding="utf-8")
+    return args
+
+
 def out_of_memory(monkeypatch, owner, attr, message=""):
     """Make `owner.attr` raise MemoryError(message) when called, as an
     allocation that does not fit would; nothing is allocated."""
@@ -401,6 +409,11 @@ CASES = {
     "eval-test-empty": (
         lambda p, mp: eval_inputs(p, lambda text: text, test="\n"), 1,
         "test.tsv: no test pairs"),
+    "eval-candidates-every": (
+        lambda p, mp: eval_inputs(p, lambda text: text)
+        + ["--candidates", "every"], 1,
+        "Invalid value for '--candidates': 'every' is not one of 'test', "
+        "'all'"),
     "eval-test-target-twice": (
         lambda p, mp: eval_inputs(p, lambda text: text,
                                   test="e3\te3\ne4\te3\n"), 1,
@@ -622,6 +635,20 @@ CASES = {
             lambda line: "a0\tzz"), 1,
         "gold_entities.tsv: test pair a0\tzz: target entity 'zz' is "
         "unknown"),
+    # a gold file that leaves no seed or no test pair is named as such:
+    # an empty one has no seed pair, and one line, or a seed fraction that
+    # takes every line, leaves no test pair
+    "run-gold-empty": (
+        lambda p, mp: with_gold_head(run_inputs(p, ONE_EPOCH),
+                                     p / "bench" / "gold_entities.tsv", 0), 1,
+        "gold_entities.tsv: no seed pairs"),
+    "run-gold-one-line": (
+        lambda p, mp: with_gold_head(run_inputs(p, ONE_EPOCH),
+                                     p / "bench" / "gold_entities.tsv", 1), 1,
+        "gold_entities.tsv: no test pairs"),
+    "run-seed-frac-all": (
+        lambda p, mp: run_inputs(p, ONE_EPOCH) + ["--seed-frac", 0.999], 1,
+        "gold_entities.tsv: no test pairs"),
     # an allocation that fails is an input or setting too large, not a crash
     "align-out-of-memory": (
         lambda p, mp: out_of_memory(

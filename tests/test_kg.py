@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from kgalign.kg import (build_graph_structure, from_string_triples, load_kg,
-                        relation_stats)
+from kgalign.kg import (KnowledgeGraph, build_graph_structure,
+                        from_string_triples, load_kg, relation_stats)
 
 from oracles import brute_norm_adjacency
 
@@ -47,6 +49,16 @@ class TestLoadKG:
         kg = load_kg(write_triples(tmp_path, ["z\tr\ta", "a\ts\tz"]), "xx")
         assert kg.entities == ("z", "a")
         assert kg.relations == ("r", "s")
+
+
+class TestKnowledgeGraph:
+    @pytest.mark.parametrize("triple", [(2, 0, 1), (0, 1, 1), (0, 0, 2),
+                                        (-1, 0, 1)],
+                             ids=["head", "relation", "tail", "negative"])
+    def test_triple_index_out_of_range(self, triple):
+        with pytest.raises(ValueError, match=re.escape(
+                f"triple index out of range: {triple}")):
+            KnowledgeGraph("xx", ("a", "b"), ("r",), ((0, 0, 1), triple))
 
 
 class TestGraphStructure:

@@ -169,9 +169,12 @@ def apply_edit(data, kind, key, i, j, value):
 
 
 def apply_field_edit(data, kind, key, i, j, value):
-    """The `apply_edit` of a field that is not a side."""
+    """The `apply_edit` of a field that is not a side.  `value` is
+    copied: a list drawn by `sampled_from` is one object across edits
+    and examples, and an edit of the copy leaves the strategy's as drawn."""
     if key not in data:
         return
+    value = copy.deepcopy(value)
     entries = data[key] if type(data[key]) is list else None
     if kind == "drop":
         if entries is None:

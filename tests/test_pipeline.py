@@ -139,10 +139,6 @@ class TestSplitGold:
         b, _ = split_gold(gold, 0.2, seed=8)
         assert a != b
 
-    def test_no_test_pairs_rejected(self):
-        with pytest.raises(ConfigError):
-            split_gold([("a", "b"), ("c", "d")], 0.9, seed=0)
-
 
 class TestRunPipeline:
     def test_smoke_artifacts_and_report(self, bench, tmp_path):
@@ -238,6 +234,9 @@ class TestAblations:
         ({"eval_p": 0}, "eval_p"),
         ({"csls_k": 0}, "csls_k"),
         ({"metric": "cosine"}, "metric"),
+        ({"candidate_mode": "every"}, "candidate mode"),
+        ({"seed_fraction": 0.0}, "seed_fraction"),
+        ({"seed_fraction": 1.0}, "seed_fraction"),
     ])
     def test_invalid_align_settings_rejected(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -252,12 +251,6 @@ class TestAblations:
         assert lines[0].split() == ["setting", "H@1", "H@p", "MRR"]
         assert len(lines) == 3
         assert lines[1].startswith("full")
-
-    def test_empty_grid_rejected(self, bench, tmp_path):
-        with pytest.raises(ConfigError, match="no ablation setting"):
-            run_ablation_grid(quick_config(), bench, tmp_path, seed=0,
-                              names=[])
-        assert not any(tmp_path.iterdir())
 
     def test_grid_trains_each_optimizer_config_once(self, bench, tmp_path,
                                                     monkeypatch):
