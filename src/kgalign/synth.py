@@ -194,15 +194,20 @@ def _walk_corpus(triples: list[tuple[int, int, int]], n_entities: int,
     for h, _, t in triples:
         neighbors[h].append(t)
         neighbors[t].append(h)
+    forms = [_surface_form(form_prefix, i).split() for i in range(n_entities)]
+    sig_words = [[f"{word}{c}" for c in sig] for sig in signatures]
     docs = []
     for _ in range(params.n_walks):
         node = int(rng.integers(n_entities))
         tokens: list[str] = []
         for _ in range(params.walk_length):
-            tokens.extend(_surface_form(form_prefix, node).split())
-            sig = signatures[node]
-            for c in rng.permutation(len(sig)):
-                tokens.append(f"{word}{sig[int(c)]}")
+            tokens.extend(forms[node])
+            # shuffling a list makes the random_interval draws of
+            # rng.permutation(len(sig)), in the same order, and leaves the
+            # words in that permutation's order
+            sig = sig_words[node].copy()
+            rng.shuffle(sig)
+            tokens.extend(sig)
             nbrs = neighbors[node]
             if nbrs:
                 node = nbrs[int(rng.integers(len(nbrs)))]

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,12 +184,103 @@ PINNED_DIGESTS = {
         "tgt.triples":
             "637850c7e4f506481a782dccd60d9678242a1123881dd0d4aed7da15ef258d23",
     },
+    "grid-signature-1": {
+        "gold_entities.tsv":
+            "50b9a3b1a0d929b100d19eb354adf47a433b17c1b6fd6e0a38b7460d66d89b42",
+        "gold_lexemes.tsv":
+            "32b06363412f44d72e3125d17f08291d03cb8d110334f67ae48f7c9931e21a76",
+        "params.json":
+            "9634b7884e8350c5727ffea2ba36eb14daf26d306417dd9df023be725385600f",
+        "src.corpus":
+            "1671cb00edf8845a4bfe47d403b7dd461f20cd06a2cc3a6d58d39558a3f5d587",
+        "src.forms":
+            "40663893595d8c14baa7ecddb40febc037de4f066eab5ddc3ad72a06b156d7a2",
+        "src.triples":
+            "2ec10355b02a67c9587032003ca174b0331cb88f78594dc472580a34df6cf0fb",
+        "tgt.corpus":
+            "2bc869afffa604f1daf3fb01904d95f77ff602d74d6676fd935ff13513924a7e",
+        "tgt.forms":
+            "d3fc3c8fcc5ba39213fcd9851e17ebc0a5fe3c6650cf4aa3eadaf68b686d98d2",
+        "tgt.triples":
+            "637850c7e4f506481a782dccd60d9678242a1123881dd0d4aed7da15ef258d23",
+    },
+    "grid-signature-5": {
+        "gold_entities.tsv":
+            "50b9a3b1a0d929b100d19eb354adf47a433b17c1b6fd6e0a38b7460d66d89b42",
+        "gold_lexemes.tsv":
+            "32b06363412f44d72e3125d17f08291d03cb8d110334f67ae48f7c9931e21a76",
+        "params.json":
+            "c5c18193d9f4a3db4b91d391d163584d2770fb735acdfd13ce5ffd55c24032c9",
+        "src.corpus":
+            "23cf541639b790001989f904c8a6ab57fd5a0a8aec4d6edcb4dc8f65f6733054",
+        "src.forms":
+            "40663893595d8c14baa7ecddb40febc037de4f066eab5ddc3ad72a06b156d7a2",
+        "src.triples":
+            "2ec10355b02a67c9587032003ca174b0331cb88f78594dc472580a34df6cf0fb",
+        "tgt.corpus":
+            "fc5afafea5d3a89ff04f3faca8eb2f616d3761a648566eb814c459f20e725053",
+        "tgt.forms":
+            "d3fc3c8fcc5ba39213fcd9851e17ebc0a5fe3c6650cf4aa3eadaf68b686d98d2",
+        "tgt.triples":
+            "637850c7e4f506481a782dccd60d9678242a1123881dd0d4aed7da15ef258d23",
+    },
+    "grid-uniform": {
+        "gold_entities.tsv":
+            "50b9a3b1a0d929b100d19eb354adf47a433b17c1b6fd6e0a38b7460d66d89b42",
+        "gold_lexemes.tsv":
+            "32b06363412f44d72e3125d17f08291d03cb8d110334f67ae48f7c9931e21a76",
+        "params.json":
+            "ef60543c9b03f6bce786f210692d9252de2f42ebdc7fb0de283b84cfa8f81874",
+        "src.corpus":
+            "e9674ba37004d5f4ac75d451f19e90767abddaae94ea0a0d220c3f0335b53611",
+        "src.forms":
+            "40663893595d8c14baa7ecddb40febc037de4f066eab5ddc3ad72a06b156d7a2",
+        "src.triples":
+            "2ec10355b02a67c9587032003ca174b0331cb88f78594dc472580a34df6cf0fb",
+        "tgt.corpus":
+            "f173c6059267a77fbabaca71373b913cc8472a66aa2667d4de0458e8286ce6dd",
+        "tgt.forms":
+            "d3fc3c8fcc5ba39213fcd9851e17ebc0a5fe3c6650cf4aa3eadaf68b686d98d2",
+        "tgt.triples":
+            "637850c7e4f506481a782dccd60d9678242a1123881dd0d4aed7da15ef258d23",
+    },
+    "isolated": {
+        "gold_entities.tsv":
+            "f7a37c1789ec8ee2864ec4bc3368a6c95c6be8576dac37547c20b720e377b62c",
+        "gold_lexemes.tsv":
+            "a9674511e6470565f333b111e95296d322edc7fb36fe35e5a0915cf1984f455d",
+        "params.json":
+            "0dc41c399e9296b9b7463339f26fa8a7a16cc2a8601bbda05bb4aeb0ae8e59d6",
+        "src.corpus":
+            "7b41b405910281739e1be38e0565418eba09ca5c8fa9cdcdd0b787ebe9a17ff8",
+        "src.forms":
+            "f0aceea2966fa006b27509cb8edae841477060cf07ee6a59b2c2c066bf532252",
+        "src.triples":
+            "53bf4c475d2687dec86a3c174c6f6378462a74c79e1bc2d07d730a659d6d5c71",
+        "tgt.corpus":
+            "4d764c0c57b35999aa242a08e593513686965af5112ab6dc703f02eb36c2da58",
+        "tgt.forms":
+            "a4a13616d21572417f061c1916a51ceadda1f89e8b80d84462e36a83b752423c",
+        "tgt.triples":
+            "a847921307ad55936fa37ba9fc17159a917356e235447fa2e4e38dd0ed33bf87",
+    },
 }
+# the 150-entity benchmark of the ablation grid
+GRID_PARAMS = BenchmarkParams(n_entities=150, n_triples=600, n_walks=750,
+                              n_common_concepts=60, seed_lexicon_size=10)
 PINNED_PARAMS = {
     "default": BenchmarkParams(),
-    # the 150-entity benchmark of the ablation grid
-    "grid": BenchmarkParams(n_entities=150, n_triples=600, n_walks=750,
-                            n_common_concepts=60, seed_lexicon_size=10),
+    "grid": GRID_PARAMS,
+    # one word a signature, so a walk step shuffles nothing; and five
+    "grid-signature-1": replace(GRID_PARAMS, signature_size=1),
+    "grid-signature-5": replace(GRID_PARAMS, signature_size=5),
+    # uniform draws of the common concepts
+    "grid-uniform": replace(GRID_PARAMS, concept_skew=0),
+    # the edge drop leaves target entities in no triple, so the target
+    # walks restart from them (see test_isolated_entities_are_walked)
+    "isolated": BenchmarkParams(n_entities=20, n_triples=30, n_relations=2,
+                                edge_drop=0.7, n_walks=200, walk_length=5,
+                                n_common_concepts=10, seed_lexicon_size=3),
 }
 
 
@@ -198,6 +290,40 @@ def test_pinned_bytes(tmp_path, name):
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.iterdir()}
     assert digests == PINNED_DIGESTS[name]
+
+
+def test_isolated_entities_are_walked(tmp_path):
+    """The "isolated" pin reaches the walks' restart branch: some target
+    entity is in no triple, and the target corpus names it."""
+    params = PINNED_PARAMS["isolated"]
+    paths = generate_benchmark(params, seed=0, out_dir=tmp_path)
+    tgt = load_kg(paths.tgt_triples, "tgt")
+    isolated = [i for i in range(params.n_entities)
+                if f"b{i}" not in tgt.ent_index]
+    assert isolated
+    corpus = set(paths.tgt_corpus.read_text().split())
+    assert all(f"te{i}" in corpus for i in isolated)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_list_shuffle_draws_as_permutation(n):
+    """The walks shuffle a copy of each signature's word list. Their
+    pinned bytes equal those of walks that take rng.permutation of its
+    length, because the two calls make the same draws and give the same
+    order."""
+    words = [f"w{i}" for i in range(n)]
+    for seed in range(50):
+        shuffled = np.random.default_rng(seed)
+        permuted = np.random.default_rng(seed)
+        got = list(words)
+        shuffled.shuffle(got)
+        order = permuted.permutation(n)
+        broken = (f"numpy {np.__version__}: Generator.shuffle of a list of "
+                  f"{n} no longer draws as Generator.permutation({n}) "
+                  f"(seed {seed})")
+        assert got == [words[int(i)] for i in order], broken
+        assert (shuffled.bit_generator.state
+                == permuted.bit_generator.state), broken
 
 
 @settings(max_examples=80, deadline=None)
